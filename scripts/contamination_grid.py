@@ -7,11 +7,10 @@ mean-absolute-error pivot per contamination level.  Optionally dumps the
 raw table in the same CSV layout the CLI emits.
 
 Example:
-    python3 scripts/contamination_grid.py --reps 200 --jobs 8 --out grid.csv
+    python3 scripts/contamination_grid.py --reps 200 --out grid.csv
 """
 
 import argparse
-import os
 
 from robustmean import (
     FIGURE_DEFAULT_SEED,
@@ -32,11 +31,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=FIGURE_DEFAULT_SEED)
-    parser.add_argument("--jobs", type=int, default=int(os.environ.get("ROBUSTMEAN_JOBS", "1")))
     parser.add_argument("--out", help="also write the raw grid as CSV")
     args = parser.parse_args()
 
-    table = figure_grid_table(args.reps, args.seed, parallelism=args.jobs)
+    table = figure_grid_table(args.reps, args.seed)
     header = "  k " + "".join(f"{label(kind, p):>16}" for kind, p in COLUMNS)
     for count in FIGURE_OUTLIER_GRID:
         print(f"\nO={count} outliers, mean absolute error over {args.reps} reps")

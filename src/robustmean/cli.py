@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import EstimatorSpec, Sample, estimate
+from .estimators import ESTIMATOR_FIELDS, ESTIMATOR_KINDS, EstimatorSpec, Sample, estimate
 from .harness import (
     FIGURE_DEFAULT_REPLICATIONS,
     FIGURE_DEFAULT_SEED,
@@ -25,6 +25,8 @@ from .harness import (
     parse_config,
     run_experiment,
 )
+
+_JOBS_HELP = "accepted for compatibility and validated (defaults to ROBUSTMEAN_JOBS or 1); runs are serial"
 
 
 def _read_numbers(handle) -> np.ndarray:
@@ -42,7 +44,8 @@ def _read_numbers(handle) -> np.ndarray:
     return np.array(values)
 
 
-def _resolve_jobs(args) -> int:
+def _check_jobs(args) -> None:
+    """Validate ``--jobs`` or ROBUSTMEAN_JOBS; runs are serial, so the value selects nothing."""
     if args.jobs is not None:
         jobs = args.jobs
     else:
@@ -53,18 +56,18 @@ def _resolve_jobs(args) -> int:
             raise ConfigError([f"ROBUSTMEAN_JOBS: not an integer: {raw!r}"]) from None
     if jobs < 1:
         raise ConfigError(["jobs: must be at least 1"])
-    return jobs
 
 
 def _emit(table, args) -> None:
-    if args.out is None:
-        emit_results(table, args.format, sys.stdout)
-    else:
-        emit_results(table, args.format, args.out)
+    emit_results(table, args.format, sys.stdout if args.out is None else args.out)
+
+
+def _kinds_reading(field: str) -> str:
+    return ", ".join(kind for kind, fields in ESTIMATOR_FIELDS.items() if field in fields)
 
 
 def _cmd_estimate(args) -> int:
-    if args.estimator in ("weighted", "mom") and args.k is None:
+    if "k" in ESTIMATOR_FIELDS[args.estimator] and args.k is None:
         raise ConfigError(["k: required for the blockwise estimators"])
     try:
         spec = EstimatorSpec(
@@ -86,19 +89,16 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    jobs = _resolve_jobs(args)
-    text = Path(args.config).read_text(encoding="utf-8")
-    table = run_experiment(parse_config(text), parallelism=jobs)
-    _emit(table, args)
+    _check_jobs(args)
+    _emit(run_experiment(parse_config(Path(args.config).read_text(encoding="utf-8"))), args)
     return 0
 
 
 def _cmd_figures(args) -> int:
-    jobs = _resolve_jobs(args)
+    _check_jobs(args)
     if args.reps < 1:
         raise ConfigError(["reps: must be at least 1"])
-    table = figure_grid_table(replications=args.reps, base_seed=args.seed, parallelism=jobs)
-    _emit(table, args)
+    _emit(figure_grid_table(replications=args.reps, base_seed=args.seed), args)
     return 0
 
 
@@ -111,26 +111,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate the mean of newline-delimited numbers")
     est.add_argument("input", nargs="?", default=None, help="input file; stdin when omitted. '#' starts a comment")
-    est.add_argument("--estimator", required=True, choices=("weighted", "mom", "trimmed", "adaptive"))
-    est.add_argument("--k", type=int, default=None, help="block count (weighted, mom)")
-    est.add_argument("--p", type=float, default=2.0, help="weight exponent (weighted, adaptive)")
-    est.add_argument("--epsilon", type=float, default=0.0, help="assumed contamination fraction (trimmed)")
+    est.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
+    est.add_argument("--k", type=int, default=None, help=f"block count ({_kinds_reading('k')})")
+    est.add_argument("--p", type=float, default=2.0, help=f"weight exponent ({_kinds_reading('p')})")
+    est.add_argument("--epsilon", type=float, default=0.0,
+                     help=f"assumed contamination fraction ({_kinds_reading('epsilon')})")
     est.add_argument("--C", dest="contamination_bound", type=float, default=0.5,
-                     help="assumed corrupted-block bound (adaptive)")
+                     help=f"assumed corrupted-block bound ({_kinds_reading('contamination_bound')})")
     est.set_defaults(run=_cmd_estimate)
 
     sim = sub.add_parser("simulate", help="run a JSON-configured experiment")
     sim.add_argument("--config", required=True, help="path to the JSON experiment description")
     sim.add_argument("--out", default=None, help="output path; stdout when omitted")
     sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sim.add_argument("--jobs", type=int, default=None, help="workers; defaults to ROBUSTMEAN_JOBS or 1")
+    sim.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     sim.set_defaults(run=_cmd_simulate)
 
     fig = sub.add_parser("paper-figures", help="run the full benchmark grid")
     fig.add_argument("--reps", type=int, default=FIGURE_DEFAULT_REPLICATIONS)
     fig.add_argument("--out", default=None, help="output path; stdout when omitted")
     fig.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    fig.add_argument("--jobs", type=int, default=None, help="workers; defaults to ROBUSTMEAN_JOBS or 1")
+    fig.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     fig.add_argument("--seed", type=int, default=FIGURE_DEFAULT_SEED)
     fig.set_defaults(run=_cmd_figures)
 

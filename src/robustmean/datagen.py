@@ -11,10 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Sample
+from .estimators import Sample, require_finite
 from .seeding import generator
 
-DISTRIBUTION_KINDS = ("normal", "student_t", "half_t", "pareto")
+# The DistributionSpec fields each family reads; the one list of kinds.
+DISTRIBUTION_FIELDS = {
+    "normal": ("mean", "sd"),
+    "student_t": ("df",),
+    "half_t": ("df",),
+    "pareto": ("shape", "scale"),
+}
+DISTRIBUTION_KINDS = tuple(DISTRIBUTION_FIELDS)
 
 
 def abs_t_mean(df: float) -> float:
@@ -39,7 +46,7 @@ class DistributionSpec:
 
     ``half_t`` is |T| recentred by E|T| and rescaled to unit variance: a
     skewed, heavy-tailed family with mean 0 and sd 1 by construction.
-    Only the fields relevant to ``kind`` are read.
+    Only the fields :data:`DISTRIBUTION_FIELDS` lists for ``kind`` are read.
     """
 
     kind: str
@@ -50,8 +57,9 @@ class DistributionSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in DISTRIBUTION_KINDS:
+        if self.kind not in DISTRIBUTION_FIELDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        require_finite(self, DISTRIBUTION_FIELDS[self.kind])
         if self.kind == "normal" and self.sd <= 0:
             raise ValueError("sd must be positive")
         if self.kind in ("student_t", "half_t") and self.df <= 2:
@@ -105,8 +113,9 @@ class ContaminationSpec:
     value: float = 1000.0
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 0:
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 0:
             raise ValueError("count must be a non-negative integer")
+        require_finite(self, ("value",))
 
 
 def sample(dist: DistributionSpec, n: int, seed: int) -> Sample:

@@ -11,11 +11,30 @@ as an oracle that is told the contamination fraction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-ESTIMATOR_KINDS = ("weighted", "mom", "trimmed", "adaptive")
+# The EstimatorSpec fields each estimator kind reads; the one list of kinds.
+ESTIMATOR_FIELDS = {
+    "weighted": ("k", "p"),
+    "mom": ("k",),
+    "trimmed": ("epsilon",),
+    "adaptive": ("p", "contamination_bound"),
+}
+ESTIMATOR_KINDS = tuple(ESTIMATOR_FIELDS)
+
+
+def require_finite(spec, fields) -> None:
+    """Raise ValueError naming the first of ``fields`` on ``spec`` that is not a finite real number.
+
+    Booleans are refused, though Python counts them as integers.
+    """
+    for name in fields:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) < math.inf:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +115,10 @@ class BlockSummary:
 class EstimatorSpec:
     """Which estimator to run, and with what knobs.
 
-    ``k`` is the block count for the blockwise estimators; ``trimmed``
-    and ``adaptive`` ignore it.  ``p`` is the weight exponent (weighted,
-    adaptive), ``epsilon`` the assumed contamination fraction (trimmed),
-    and ``contamination_bound`` the assumed bound on the corrupted block
-    fraction (adaptive).
+    ``k`` is the block count, ``p`` the weight exponent, ``epsilon`` the
+    assumed contamination fraction and ``contamination_bound`` the assumed
+    bound on the corrupted block fraction.  Each kind reads only the
+    fields :data:`ESTIMATOR_FIELDS` lists for it and ignores the rest.
     """
 
     kind: str
@@ -110,15 +128,17 @@ class EstimatorSpec:
     contamination_bound: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ESTIMATOR_KINDS:
+        if self.kind not in ESTIMATOR_FIELDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if not isinstance(self.k, int) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
             raise ValueError("k must be a positive integer")
-        if self.kind in ("weighted", "adaptive") and self.p < 1:
+        fields = ESTIMATOR_FIELDS[self.kind]
+        require_finite(self, fields)
+        if "p" in fields and self.p < 1:
             raise ValueError("p must be >= 1")
-        if self.kind == "trimmed" and not 0.0 <= self.epsilon < 0.5:
+        if "epsilon" in fields and not 0.0 <= self.epsilon < 0.5:
             raise ValueError("epsilon must lie in [0, 0.5)")
-        if self.kind == "adaptive" and not 0.0 < self.contamination_bound < 1.0:
+        if "contamination_bound" in fields and not 0.0 < self.contamination_bound < 1.0:
             raise ValueError("contamination_bound must lie in (0, 1)")
 
 

@@ -2,22 +2,22 @@
 
 A replication draws one sample, corrupts it once, and feeds the same
 values to every (estimator, block count) cell.  RNG streams are derived
-from (base_seed, purpose, replication), and each replication writes into
-its own slot, so results are byte-identical at any worker count.
+from (base_seed, purpose, replication), so a replication's results do
+not depend on which replications ran before it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .datagen import ContaminationSpec, DistributionSpec, contaminate, sample
+from .datagen import DISTRIBUTION_FIELDS, ContaminationSpec, DistributionSpec, contaminate, sample
 from .estimators import (
+    ESTIMATOR_FIELDS,
+    BlockSummary,
     EstimatorSpec,
     block_summaries,
     estimate,
@@ -147,19 +147,31 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         for k in spec.k_grid:
             if not isinstance(k, int) or not 1 <= k <= spec.n:
                 problems.append(f"k_grid: k={k} outside 1..{spec.n}")
+    for k in dict.fromkeys(k for k in spec.k_grid if spec.k_grid.count(k) > 1):
+        problems.append(f"k_grid: k={k} repeated")
     if not spec.estimators:
         problems.append("estimators: must not be empty")
+    # the grid supplies k, so entries that differ only in k give the same rows
+    seen: dict[tuple, int] = {}
+    for index, est in enumerate(spec.estimators):
+        entry = {"kind": est.kind, **{name: getattr(est, name) for name in ESTIMATOR_FIELDS[est.kind] if name != "k"}}
+        first = seen.setdefault(tuple(entry.items()), index)
+        if first != index:
+            problems.append(f"estimators[{index}]: repeats estimators[{first}] {entry}")
     if isinstance(spec.n, int) and spec.contamination.count >= spec.n:
         problems.append("contamination.count: must be smaller than N")
     return problems
 
 
 def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentTable:
-    """Evaluate every (estimator, k) cell over shared replications.
+    """Evaluate every (estimator, k) cell over shared replications, one after another.
 
     The grid supplies k, so the ``k`` field on each estimator spec is
     ignored here.  Estimators that do not use a block count produce the
-    same value in every k cell of their row group.
+    same value in every k cell of their row group.  A replication builds
+    the block summaries for a k only when a blockwise estimator reads them.
+    ``parallelism`` is validated and otherwise unused: it is accepted for
+    compatibility, and runs are serial.
     """
     problems = validate_spec(spec)
     if problems:
@@ -167,54 +179,44 @@ def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentTabl
     if parallelism < 1:
         raise ConfigError(["parallelism: must be at least 1"])
 
-    cells = [(est, k) for est in spec.estimators for k in spec.k_grid]
-    errors = np.empty((spec.replications, len(cells)))
+    errors = np.empty((spec.replications, len(spec.estimators), len(spec.k_grid)))
     true_mean = spec.distribution.true_mean
-
-    def run_one(r: int) -> None:
+    for r in range(spec.replications):
         raw = sample(spec.distribution, spec.n, substream_seed(spec.base_seed, "sample", r))
         corrupted = contaminate(raw, spec.contamination, substream_seed(spec.base_seed, "contaminate", r))
-        cache = {k: block_summaries(corrupted, partition(spec.n, k)) for k in set(spec.k_grid)}
-        blockfree: dict[EstimatorSpec, float] = {}
-        for c, (est, k) in enumerate(cells):
-            if est.kind == "weighted":
-                value = weighted_mean(cache[k], est.p)
-            elif est.kind == "mom":
-                value = median_of_means(cache[k])
-            else:
-                if est not in blockfree:
-                    blockfree[est] = estimate(corrupted, est)
-                value = blockfree[est]
-            errors[r, c] = value - true_mean
-
-    if parallelism == 1:
-        for r in range(spec.replications):
-            run_one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            list(pool.map(run_one, range(spec.replications)))
+        summaries: dict[int, list[BlockSummary]] = {}
+        for est, row in zip(spec.estimators, errors[r]):
+            if "k" not in ESTIMATOR_FIELDS[est.kind]:
+                row[:] = estimate(corrupted, est) - true_mean
+                continue
+            for j, k in enumerate(spec.k_grid):
+                if k not in summaries:
+                    summaries[k] = block_summaries(corrupted, partition(spec.n, k))
+                value = weighted_mean(summaries[k], est.p) if est.kind == "weighted" else median_of_means(summaries[k])
+                row[j] = value - true_mean
 
     rows = []
-    for c, (est, k) in enumerate(cells):
-        col = errors[:, c]
-        metrics = AggregateMetrics(
-            mean_error=float(col.mean()),
-            mean_abs_error=float(np.abs(col).mean()),
-            rescaled_sd=float(math.sqrt(spec.n) * col.std()),
-            max_abs_error=float(np.abs(col).max()),
-            replications=spec.replications,
-        )
-        rows.append(
-            ResultRow(
-                estimator=est.kind,
-                p=est.p if est.kind in ("weighted", "adaptive") else None,
-                k=k,
-                outliers=spec.contamination.count,
-                n=spec.n,
-                metrics=metrics,
-                base_seed=spec.base_seed,
+    for i, est in enumerate(spec.estimators):
+        for j, k in enumerate(spec.k_grid):
+            col = errors[:, i, j]
+            metrics = AggregateMetrics(
+                mean_error=float(col.mean()),
+                mean_abs_error=float(np.abs(col).mean()),
+                rescaled_sd=float(math.sqrt(spec.n) * col.std()),
+                max_abs_error=float(np.abs(col).max()),
+                replications=spec.replications,
             )
-        )
+            rows.append(
+                ResultRow(
+                    estimator=est.kind,
+                    p=est.p if "p" in ESTIMATOR_FIELDS[est.kind] else None,
+                    k=k,
+                    outliers=spec.contamination.count,
+                    n=spec.n,
+                    metrics=metrics,
+                    base_seed=spec.base_seed,
+                )
+            )
     return ExperimentTable(tuple(sorted(rows, key=_row_key)))
 
 
@@ -227,7 +229,8 @@ def figure_grid_table(
 
     Median-of-means, the weighted estimator at p=1 and p=2, and the
     trimmed oracle (epsilon = O/N) on the standardised half-t(4) family
-    at N=2500.
+    at N=2500.  ``parallelism`` is passed to :func:`run_experiment`,
+    which validates it and runs serially.
     """
     rows: list[ResultRow] = []
     dist = DistributionSpec.half_t(4.0)
@@ -251,8 +254,10 @@ def figure_grid_table(
     return ExperimentTable(tuple(sorted(rows, key=_row_key)))
 
 
-def _format_float(value: float) -> str:
-    return format(value, ".17g")
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _row_fields(row: ResultRow) -> dict:
@@ -277,20 +282,7 @@ def _write_rows(rows: list[ResultRow], handle, fmt: str) -> None:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
             fields = _row_fields(row)
-            cells = [
-                fields["estimator"],
-                "" if fields["p"] is None else _format_float(fields["p"]),
-                str(fields["k"]),
-                str(fields["O"]),
-                str(fields["N"]),
-                str(fields["replications"]),
-                _format_float(fields["mean_error"]),
-                _format_float(fields["mean_abs_error"]),
-                _format_float(fields["rescaled_sd"]),
-                _format_float(fields["max_abs_error"]),
-                str(fields["base_seed"]),
-            ]
-            handle.write(",".join(cells) + "\n")
+            handle.write(",".join(_format_cell(fields[column]) for column in CSV_COLUMNS) + "\n")
     else:
         for row in rows:
             handle.write(json.dumps(_row_fields(row)) + "\n")
@@ -314,30 +306,8 @@ def emit_results(table: ExperimentTable, fmt: str, destination) -> None:
             _write_rows(rows, handle, fmt)
 
 
-_DISTRIBUTION_KEYS = {
-    "normal": {"kind", "mean", "sd"},
-    "student_t": {"kind", "df"},
-    "half_t": {"kind", "df"},
-    "pareto": {"kind", "shape", "scale"},
-}
-
-_ESTIMATOR_KEYS = {
-    "weighted": {"kind", "p"},
-    "mom": {"kind"},
-    "trimmed": {"kind", "epsilon"},
-    "adaptive": {"kind", "p", "contamination_bound"},
-}
-
-_TOP_KEYS = {
-    "schema_version",
-    "N",
-    "distribution",
-    "contamination",
-    "k_grid",
-    "estimators",
-    "replications",
-    "base_seed",
-}
+_REQUIRED_KEYS = ("schema_version", "N", "distribution", "k_grid", "estimators", "replications", "base_seed")
+_TOP_KEYS = {*_REQUIRED_KEYS, "contamination"}
 
 
 def _require_int(payload: dict, key: str, problems: list[str]) -> int:
@@ -354,12 +324,12 @@ def _parse_distribution(payload, problems: list[str]) -> DistributionSpec:
         problems.append("distribution: must be an object")
         return fallback
     kind = payload.get("kind")
-    if kind not in _DISTRIBUTION_KEYS:
-        problems.append(f"distribution.kind: must be one of {sorted(_DISTRIBUTION_KEYS)}")
+    if kind not in DISTRIBUTION_FIELDS:
+        problems.append(f"distribution.kind: must be one of {sorted(DISTRIBUTION_FIELDS)}")
         return fallback
-    for key in sorted(set(payload) - _DISTRIBUTION_KEYS[kind]):
+    for key in sorted(set(payload) - {"kind", *DISTRIBUTION_FIELDS[kind]}):
         problems.append(f"distribution.{key}: unknown field for kind {kind!r}")
-    kwargs = {key: value for key, value in payload.items() if key in _DISTRIBUTION_KEYS[kind] and key != "kind"}
+    kwargs = {key: value for key, value in payload.items() if key in DISTRIBUTION_FIELDS[kind]}
     try:
         return DistributionSpec(kind, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -376,10 +346,7 @@ def _parse_contamination(payload, problems: list[str]) -> ContaminationSpec:
     for key in sorted(set(payload) - {"count", "value"}):
         problems.append(f"contamination.{key}: unknown field")
     try:
-        return ContaminationSpec(
-            count=payload.get("count", 0),
-            value=float(payload.get("value", 1000.0)),
-        )
+        return ContaminationSpec(count=payload.get("count", 0), value=payload.get("value", 1000.0))
     except (TypeError, ValueError) as exc:
         problems.append(f"contamination: {exc}")
         return ContaminationSpec(0)
@@ -396,14 +363,13 @@ def _parse_estimators(payload, problems: list[str]) -> tuple[EstimatorSpec, ...]
             problems.append(f"{label}: must be an object")
             continue
         kind = entry.get("kind")
-        if kind not in _ESTIMATOR_KEYS:
-            problems.append(f"{label}.kind: must be one of {sorted(_ESTIMATOR_KEYS)}")
+        if kind not in ESTIMATOR_FIELDS:
+            problems.append(f"{label}.kind: must be one of {sorted(ESTIMATOR_FIELDS)}")
             continue
-        bad = False
-        for key in sorted(set(entry) - _ESTIMATOR_KEYS[kind]):
-            problems.append(f"{label}.{key}: unknown field for kind {kind!r}")
-            bad = True
-        if bad:
+        # the grid supplies k, so an entry may not set it
+        unknown = sorted(set(entry) - ({"kind", *ESTIMATOR_FIELDS[kind]} - {"k"}))
+        problems.extend(f"{label}.{key}: unknown field for kind {kind!r}" for key in unknown)
+        if unknown:
             continue
         kwargs = {key: value for key, value in entry.items() if key != "kind"}
         try:
@@ -429,7 +395,7 @@ def parse_config(text: str) -> ExperimentSpec:
     problems: list[str] = []
     for key in sorted(set(payload) - _TOP_KEYS):
         problems.append(f"{key}: unknown field")
-    for key in ("schema_version", "N", "distribution", "k_grid", "estimators", "replications", "base_seed"):
+    for key in _REQUIRED_KEYS:
         if key not in payload:
             problems.append(f"{key}: required field is missing")
 

@@ -110,6 +110,13 @@ def test_simulate_k_beyond_n_exits_2_with_diagnostics(tmp_path, capsys):
     assert "k_grid" in capsys.readouterr().err
 
 
+def test_simulate_non_finite_number_exits_2_naming_the_field(tmp_path, capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps(GOOD_CONFIG).replace('"sd": 1.0', '"sd": NaN'))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "distribution: sd must be a finite number" in capsys.readouterr().err
+
+
 def test_simulate_invalid_json_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{ nope")

@@ -94,6 +94,16 @@ def test_validate_spec_flags_contamination_count():
     assert any("contamination.count" in p for p in problems)
 
 
+def test_validate_spec_flags_repeated_grid_entries():
+    problems = validate_spec(
+        small_spec(
+            k_grid=(5, 2, 5),
+            estimators=(EstimatorSpec("weighted", p=2.0), EstimatorSpec("mom"), EstimatorSpec("weighted", k=3, p=2.0)),
+        )
+    )
+    assert problems == ["k_grid: k=5 repeated", "estimators[2]: repeats estimators[0] {'kind': 'weighted', 'p': 2.0}"]
+
+
 def test_run_experiment_rejects_bad_spec_and_parallelism():
     with pytest.raises(ConfigError):
         run_experiment(small_spec(k_grid=(0,)))
@@ -149,6 +159,27 @@ def test_aggregates_match_independent_replay():
         assert m.max_abs_error == np.abs(arr).max()
         assert abs(m.rescaled_sd - math.sqrt(spec.n) * arr.std()) <= 1e-12
         assert m.max_abs_error >= m.mean_abs_error >= abs(m.mean_error)
+
+
+@pytest.mark.parametrize(
+    "estimators, built_per_replication",
+    [
+        ((EstimatorSpec("trimmed", epsilon=0.0), EstimatorSpec("adaptive", p=2.0)), []),
+        ((EstimatorSpec("weighted", p=1.0), EstimatorSpec("weighted", p=2.0), EstimatorSpec("mom")), [2, 5]),
+    ],
+)
+def test_block_summaries_built_once_per_k_and_only_when_read(monkeypatch, estimators, built_per_replication):
+    import robustmean.harness
+
+    built = []
+
+    def counted(sample, part):
+        built.append(part.k)
+        return block_summaries(sample, part)
+
+    monkeypatch.setattr(robustmean.harness, "block_summaries", counted)
+    run_experiment(small_spec(estimators=estimators, replications=3))
+    assert built == built_per_replication * 3
 
 
 def test_parallelism_is_byte_identical():
@@ -340,6 +371,39 @@ def test_parse_config_rejects_non_json_and_non_object():
         parse_config("not json {")
     with pytest.raises(ConfigError):
         parse_config("[1, 2]")
+
+
+@pytest.mark.parametrize(
+    "where, literal, message",
+    [
+        (("contamination", "count"), "true", "contamination: count must be a non-negative integer"),
+        (("contamination", "value"), "Infinity", "contamination: value must be a finite number"),
+        (("distribution", "df"), "NaN", "distribution: df must be a finite number"),
+        (("estimators", 1, "p"), "true", "estimators[1]: p must be a finite number"),
+        (("estimators", 3, "p"), "Infinity", "estimators[3]: p must be a finite number"),
+    ],
+)
+def test_parse_config_rejects_non_finite_and_boolean_numbers(where, literal, message):
+    payload = json.loads(json.dumps(GOOD_CONFIG))
+    target = payload
+    for step in where[:-1]:
+        target = target[step]
+    target[where[-1]] = "@"
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload).replace('"@"', literal))
+    assert any(problem.startswith(message) for problem in err.value.errors), err.value.errors
+
+
+def test_parse_config_rejects_repeated_grid_entries():
+    payload = json.loads(json.dumps(GOOD_CONFIG))
+    payload["k_grid"] = [5, 5]
+    payload["estimators"].append({"kind": "trimmed", "epsilon": 0.02})
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload))
+    assert err.value.errors == [
+        "k_grid: k=5 repeated",
+        "estimators[4]: repeats estimators[2] {'kind': 'trimmed', 'epsilon': 0.02}",
+    ]
 
 
 def test_parse_config_applies_spec_validation():
