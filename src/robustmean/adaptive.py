@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import BlockSummary, Sample, block_summaries, partition, weighted_mean
+from .estimators import BlockSummary, Sample, _inverse_power_ratios, block_summaries, partition, require_finite, weighted_mean
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class AdaptiveConfig:
     plain_threshold_constant: float = 4.0
 
     def __post_init__(self):
+        require_finite(self, ("p", "contamination_bound", "threshold_constant", "plain_threshold_constant"))
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if not 0.0 < self.contamination_bound < 1.0:
@@ -70,17 +71,10 @@ def harmonic_mean_inverse(summaries: list[BlockSummary], p: float) -> float:
     One calm block keeps this small no matter how loud the others are;
     a block with zero dispersion drives it all the way to 0.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if not summaries:
-        raise ValueError("no blocks")
-    sds = np.array([s.sd for s in summaries])
-    ref = sds.min()
+    ref, ratios = _inverse_power_ratios(summaries, p)
     if ref == 0.0:
         return 0.0
-    # ref-normalised ratios stay in (0, 1], so nothing overflows
-    ratios = (ref / sds) ** p
-    return float(ref**p * sds.size / ratios.sum())
+    return float(ref**p * ratios.size / ratios.sum())
 
 
 def _calm(summaries: list[BlockSummary], p: float, scale: float, constant: float, bound: float) -> bool:

@@ -31,9 +31,11 @@ _JOBS_HELP = "accepted for compatibility and validated (defaults to ROBUSTMEAN_J
 
 def _read_numbers(handle) -> np.ndarray:
     values = []
+    skipped = []  # blank and comment lines, so a value's line can be found again
     for lineno, line in enumerate(handle, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
+            skipped.append(lineno)
             continue
         try:
             values.append(float(text))
@@ -41,7 +43,16 @@ def _read_numbers(handle) -> np.ndarray:
             raise RuntimeError(f"input line {lineno} is not a number: {text!r}") from None
     if not values:
         raise RuntimeError("no numbers in input")
-    return np.array(values)
+    numbers = np.array(values)
+    bad = np.flatnonzero(~np.isfinite(numbers))
+    if bad.size:
+        # the value's rank among value lines, moved past each skipped line up to it
+        lineno = int(bad[0]) + 1
+        for blank in skipped:
+            if blank <= lineno:
+                lineno += 1
+        raise RuntimeError(f"input line {lineno} is not a finite number: {values[bad[0]]!r}")
+    return numbers
 
 
 def _check_jobs(args) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import BlockPartition, Sample
+from .estimators import BlockPartition, Sample, block_summaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,24 +27,14 @@ class SelfNormalizedStats:
 
 
 def self_normalized(sample: Sample, part: BlockPartition, true_mean: float) -> SelfNormalizedStats:
-    x = sample.values
-    if part.n != x.size:
-        raise ValueError("partition does not cover this sample")
-    k = part.k
-    t_stat = np.zeros(k)
-    self_norm = np.zeros(k)
-    rms_dev = np.zeros(k)
-    for j, (lo, hi) in enumerate(part.blocks()):
-        block = x[lo:hi]
-        dev = float(block.mean()) - true_mean
-        sd = math.sqrt(float(np.square(block - block.mean()).mean()))
-        rms = math.sqrt(float(np.square(block - true_mean).mean()))
-        rms_dev[j] = rms
-        if sd > 0.0:
-            t_stat[j] = dev / sd
-        if rms > 0.0:
-            self_norm[j] = dev / rms
-    return SelfNormalizedStats(t_stat, self_norm, rms_dev)
+    summaries = block_summaries(sample, part)
+    sd = np.array([s.sd for s in summaries])
+    dev = np.array([s.mean for s in summaries]) - true_mean
+    # the mean square about any centre is sd^2 plus the squared offset; hypot squares nothing
+    rms = np.hypot(sd, dev)
+    t_stat = np.divide(dev, sd, out=np.zeros_like(dev), where=sd > 0.0)
+    self_norm = np.divide(dev, rms, out=np.zeros_like(dev), where=rms > 0.0)
+    return SelfNormalizedStats(t_stat, self_norm, rms)
 
 
 def outlier_magnitude(sample: Sample, part: BlockPartition, true_sigma: float) -> float | None:

@@ -52,6 +52,8 @@ class Sample:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-d array")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite: NaN and infinity have no mean")
         object.__setattr__(self, "values", values)
         if self.outlier_mask is not None:
             mask = np.asarray(self.outlier_mask, dtype=bool)
@@ -180,24 +182,31 @@ def block_summaries(sample: Sample, part: BlockPartition) -> list[BlockSummary]:
     return out
 
 
-def block_weights(summaries: list[BlockSummary], p: float) -> np.ndarray:
-    """Normalised weights proportional to ``sd ** -p``; nonnegative, sum 1.
+def _inverse_power_ratios(summaries: list[BlockSummary], p: float) -> tuple[float, np.ndarray]:
+    """The least block sd ``ref`` and each block's ``(ref / sd) ** p``, which cannot overflow.
 
-    A block with zero dispersion would get infinite weight, so when any
-    such block exists all the mass is spread equally over the zero
-    dispersion blocks alone (the limit of the weights as sd -> 0+).
+    A zero-sd block would take infinite weight, so when one exists ``ref``
+    is 0 and the ratios are the indicator of the zero-sd blocks: the limit
+    of the weights as sd -> 0+.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be a finite number >= 1")
     if not summaries:
         raise ValueError("no blocks")
     sds = np.array([s.sd for s in summaries])
-    quiet = sds == 0.0
-    if quiet.any():
-        return quiet / quiet.sum()
-    # normalise against the quietest block so no weight can overflow
-    raw = (sds.min() / sds) ** p
-    return raw / raw.sum()
+    ref = sds.min()
+    if ref == 0.0:
+        return ref, (sds == 0.0).astype(np.float64)
+    return ref, (ref / sds) ** p
+
+
+def block_weights(summaries: list[BlockSummary], p: float) -> np.ndarray:
+    """Normalised weights proportional to ``sd ** -p``; nonnegative, sum 1.
+
+    Zero-sd blocks, when there are any, share all the mass equally.
+    """
+    _, ratios = _inverse_power_ratios(summaries, p)
+    return ratios / ratios.sum()
 
 
 def weighted_mean(summaries: list[BlockSummary], p: float) -> float:

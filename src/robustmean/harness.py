@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,23 +133,31 @@ class ExperimentTable:
         return hits[0].metrics
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_spec(spec: ExperimentSpec) -> list[str]:
-    """Every violated field, one message each; empty when the spec is sound."""
+    """Every violated field, one message each; empty when the spec is sound.  Booleans are not integers."""
     problems: list[str] = []
-    if not isinstance(spec.n, int) or spec.n < 1:
+    n_ok = _is_int(spec.n) and spec.n >= 1
+    if not n_ok:
         problems.append("N: must be a positive integer")
-    if not isinstance(spec.replications, int) or spec.replications < 1:
+    if not (_is_int(spec.replications) and spec.replications >= 1):
         problems.append("replications: must be a positive integer")
-    if not isinstance(spec.base_seed, int) or not 0 <= spec.base_seed < 2**64:
+    if not (_is_int(spec.base_seed) and 0 <= spec.base_seed < 2**64):
         problems.append("base_seed: must be an integer in [0, 2**64)")
-    if not spec.k_grid:
-        problems.append("k_grid: must not be empty")
-    elif isinstance(spec.n, int) and spec.n >= 1:
+    if not isinstance(spec.k_grid, (tuple, list)) or not spec.k_grid:
+        problems.append("k_grid: must be a non-empty array of integers")
+    else:
         for k in spec.k_grid:
-            if not isinstance(k, int) or not 1 <= k <= spec.n:
+            if not _is_int(k):
+                problems.append(f"k_grid: {k!r} is not an integer")
+            elif n_ok and not 1 <= k <= spec.n:
                 problems.append(f"k_grid: k={k} outside 1..{spec.n}")
-    for k in dict.fromkeys(k for k in spec.k_grid if spec.k_grid.count(k) > 1):
-        problems.append(f"k_grid: k={k} repeated")
+        ks = [k for k in spec.k_grid if _is_int(k)]
+        for k in dict.fromkeys(k for k in ks if ks.count(k) > 1):
+            problems.append(f"k_grid: k={k} repeated")
     if not spec.estimators:
         problems.append("estimators: must not be empty")
     # the grid supplies k, so entries that differ only in k give the same rows
@@ -158,7 +167,7 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         first = seen.setdefault(tuple(entry.items()), index)
         if first != index:
             problems.append(f"estimators[{index}]: repeats estimators[{first}] {entry}")
-    if isinstance(spec.n, int) and spec.contamination.count >= spec.n:
+    if n_ok and spec.contamination.count >= spec.n:
         problems.append("contamination.count: must be smaller than N")
     return problems
 
@@ -310,14 +319,6 @@ _REQUIRED_KEYS = ("schema_version", "N", "distribution", "k_grid", "estimators",
 _TOP_KEYS = {*_REQUIRED_KEYS, "contamination"}
 
 
-def _require_int(payload: dict, key: str, problems: list[str]) -> int:
-    value = payload.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{key}: must be an integer")
-        return 1
-    return value
-
-
 def _parse_distribution(payload, problems: list[str]) -> DistributionSpec:
     fallback = DistributionSpec.normal()
     if not isinstance(payload, dict):
@@ -353,8 +354,8 @@ def _parse_contamination(payload, problems: list[str]) -> ContaminationSpec:
 
 
 def _parse_estimators(payload, problems: list[str]) -> tuple[EstimatorSpec, ...]:
-    if not isinstance(payload, list) or not payload:
-        problems.append("estimators: must be a non-empty array")
+    if not isinstance(payload, list):
+        problems.append("estimators: must be an array")
         return ()
     specs = []
     for index, entry in enumerate(payload):
@@ -379,11 +380,16 @@ def _parse_estimators(payload, problems: list[str]) -> tuple[EstimatorSpec, ...]
     return tuple(specs)
 
 
+def _field(problem: str) -> str:
+    """The top-level config key a problem message is about."""
+    return re.split(r"[.\[:]", problem, maxsplit=1)[0]
+
+
 def parse_config(text: str) -> ExperimentSpec:
     """Parse a JSON experiment description, rejecting anything unrecognised.
 
     Collects every problem before raising, so one round trip reports all
-    violated fields.
+    violated fields.  The values are checked by :func:`validate_spec`.
     """
     try:
         payload = json.loads(text)
@@ -392,47 +398,24 @@ def parse_config(text: str) -> ExperimentSpec:
     if not isinstance(payload, dict):
         raise ConfigError(["config: must be a JSON object"])
 
-    problems: list[str] = []
-    for key in sorted(set(payload) - _TOP_KEYS):
-        problems.append(f"{key}: unknown field")
-    for key in _REQUIRED_KEYS:
-        if key not in payload:
-            problems.append(f"{key}: required field is missing")
-
+    problems = [f"{key}: unknown field" for key in sorted(set(payload) - _TOP_KEYS)]
+    problems += [f"{key}: required field is missing" for key in _REQUIRED_KEYS if key not in payload]
     if "schema_version" in payload and payload["schema_version"] != SCHEMA_VERSION:
         problems.append(f"schema_version: expected {SCHEMA_VERSION}, got {payload['schema_version']!r}")
 
-    n = _require_int(payload, "N", problems) if "N" in payload else 1
-    replications = _require_int(payload, "replications", problems) if "replications" in payload else 1
-    base_seed = _require_int(payload, "base_seed", problems) if "base_seed" in payload else 0
-
-    k_grid: tuple[int, ...] = ()
-    if "k_grid" in payload:
-        raw_grid = payload["k_grid"]
-        if not isinstance(raw_grid, list) or not raw_grid or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in raw_grid
-        ):
-            problems.append("k_grid: must be a non-empty array of integers")
-        else:
-            k_grid = tuple(raw_grid)
-
-    distribution = _parse_distribution(payload.get("distribution"), problems) if "distribution" in payload else DistributionSpec.normal()
-    contamination = _parse_contamination(payload.get("contamination"), problems)
-    estimators = _parse_estimators(payload.get("estimators"), problems) if "estimators" in payload else ()
-
-    if problems:
-        raise ConfigError(problems)
-
+    k_grid = payload.get("k_grid")
     spec = ExperimentSpec(
-        n=n,
-        distribution=distribution,
-        contamination=contamination,
-        k_grid=k_grid,
-        estimators=estimators,
-        replications=replications,
-        base_seed=base_seed,
+        n=payload.get("N"),
+        distribution=_parse_distribution(payload["distribution"], problems) if "distribution" in payload else DistributionSpec.normal(),
+        contamination=_parse_contamination(payload.get("contamination"), problems),
+        k_grid=tuple(k_grid) if isinstance(k_grid, list) else k_grid,
+        estimators=_parse_estimators(payload["estimators"], problems) if "estimators" in payload else (),
+        replications=payload.get("replications"),
+        base_seed=payload.get("base_seed"),
     )
-    problems = validate_spec(spec)
+    # a field that is missing or failed to parse is already reported once
+    reported = {_field(problem) for problem in problems}
+    problems += [problem for problem in validate_spec(spec) if _field(problem) not in reported]
     if problems:
         raise ConfigError(problems)
     return spec

@@ -99,6 +99,12 @@ def test_harmonic_mean_inverse_rejects_bad_input():
         harmonic_mean_inverse(summaries_from_sds([1.0]), 0.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_harmonic_mean_inverse_rejects_non_finite_exponent(p):
+    with pytest.raises(ValueError, match="finite"):
+        harmonic_mean_inverse(summaries_from_sds([1.0, 2.0]), p)
+
+
 @given(
     st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30),
     st.floats(1.0, 4.0),
@@ -237,3 +243,10 @@ def test_adaptive_config_validation():
         AdaptiveConfig(threshold_constant=0.0)
     with pytest.raises(ValueError):
         AdaptiveConfig(plain_threshold_constant=-1.0)
+
+
+@pytest.mark.parametrize("field", ["p", "threshold_constant", "plain_threshold_constant"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_adaptive_config_rejects_non_finite_knobs(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        AdaptiveConfig(**{field: bad})

@@ -64,6 +64,15 @@ def test_estimate_bad_token_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token, shown", [("nan", "nan"), ("inf", "inf"), ("-Infinity", "-inf"), ("1e999", "inf")])
+@pytest.mark.parametrize("estimator", [["weighted", "--k", "2"], ["trimmed"]])
+def test_estimate_non_finite_value_reports_line(tmp_path, capsys, token, shown, estimator):
+    src = tmp_path / "bad.txt"
+    src.write_text(f"# header\n1\n\n2\n# note\n{token}  # suspicious\n" + "3\n" * 20 + "inf\n")
+    assert main(["estimate", str(src), "--estimator", *estimator]) == 1
+    assert f"error: input line 6 is not a finite number: {shown}\n" == capsys.readouterr().err
+
+
 def test_estimate_empty_input_is_runtime_error(tmp_path, capsys):
     src = tmp_path / "empty.txt"
     src.write_text("# nothing\n")

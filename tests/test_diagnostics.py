@@ -67,6 +67,13 @@ def test_self_normalized_identities(values, mu, data):
             assert abs(t - q / math.sqrt(1.0 - q * q)) <= 1e-9 * max(1.0, abs(t))
 
 
+def test_self_normalized_identity_survives_subnormal_squares():
+    # squares of values near 1e-160 are subnormal; T and Q must still agree
+    stats = self_normalized(Sample(np.array([0.0, 2.8624903553639717e-160])), partition(2, 1), 0.0)
+    q, t = stats.self_norm[0], stats.t_stat[0]
+    assert abs(t - q / math.sqrt(1.0 - q * q)) <= 1e-9
+
+
 # ---------------------------------------------------------- outlier magnitude
 
 

@@ -140,6 +140,12 @@ def test_weighted_mean_rejects_bad_input():
         weighted_mean([BlockSummary(1.0, 1.0, 2)], 0.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_block_weights_reject_non_finite_exponent(p):
+    with pytest.raises(ValueError, match="finite"):
+        block_weights([BlockSummary(1.0, 1.0, 2), BlockSummary(2.0, 2.0, 2)], p)
+
+
 @given(
     st.lists(
         st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)),
@@ -327,3 +333,9 @@ def test_sample_validation():
         Sample(np.zeros(3), outlier_mask=np.zeros(4, dtype=bool))
     s = Sample(np.arange(3.0))
     assert s.n == 3 and s.outlier_mask is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Sample(np.array([1.0, bad, 3.0]))

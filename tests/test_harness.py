@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ def test_validate_spec_flags_repeated_grid_entries():
         )
     )
     assert problems == ["k_grid: k=5 repeated", "estimators[2]: repeats estimators[0] {'kind': 'weighted', 'p': 2.0}"]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n": True}, "N: must be a positive integer"),
+        ({"replications": True}, "replications: must be a positive integer"),
+        ({"base_seed": True}, "base_seed: must be an integer in [0, 2**64)"),
+        ({"k_grid": (2, True)}, "k_grid: True is not an integer"),
+    ],
+    ids=["N", "replications", "base_seed", "k_grid"],
+)
+def test_validate_spec_flags_booleans_as_integers(overrides, message):
+    assert validate_spec(small_spec(**overrides)) == [message]
 
 
 def test_run_experiment_rejects_bad_spec_and_parallelism():
@@ -353,9 +368,29 @@ def test_parse_config_collects_all_problems_in_one_pass():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(payload))
     text = str(err.value)
-    # shape problems are all reported together; range checks run afterwards
-    for needle in ("schema_version", "N", "distribution.kind", "k_grid"):
+    # shape and range problems are all reported together
+    for needle in ("schema_version", "N", "distribution.kind", "k_grid", "replications", "base_seed"):
         assert needle in text, text
+
+
+def test_parse_config_reports_each_problem_once():
+    payload = {key: value for key, value in GOOD_CONFIG.items() if key != "N"}
+    payload["replications"] = 0
+    payload["estimators"] = [{"kind": "median"}, {"kind": "mom", "p": 2.0}]
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload))
+    # neither "N: must be a positive integer" nor "estimators: must not be empty" follows
+    assert err.value.errors == [
+        "N: required field is missing",
+        "estimators[0].kind: must be one of ['adaptive', 'mom', 'trimmed', 'weighted']",
+        "estimators[1].p: unknown field for kind 'mom'",
+        "replications: must be a positive integer",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "scripts").glob("*.json")), ids=lambda p: p.name)
+def test_parse_config_accepts_every_shipped_config(path):
+    parse_config(path.read_text(encoding="utf-8"))
 
 
 def test_parse_config_requires_every_top_field():
