@@ -11,6 +11,7 @@ scale estimate.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ def robust_sigma(sample: Sample) -> ScaleEstimate:
     return ScaleEstimate(float(np.median(gaps)) * _MEDIAN_GAP_TO_MEAN_GAP, groups)
 
 
-def harmonic_mean_inverse(summaries: list[BlockSummary], p: float) -> float:
+def harmonic_mean_inverse(summaries: Sequence[BlockSummary], p: float) -> float:
     """Harmonic mean of the block dispersions raised to ``p``.
 
     One calm block keeps this small no matter how loud the others are;
@@ -98,16 +99,16 @@ def harmonic_mean_inverse(summaries: list[BlockSummary], p: float) -> float:
     return float(ref**p * ratios.size / ratios.sum())
 
 
-def _calm(summaries: list[BlockSummary], p: float, scale: float, constant: float, bound: float) -> bool:
+def _calm(summaries: Sequence[BlockSummary], p: float, scale: float, constant: float, bound: float) -> bool:
     return harmonic_mean_inverse(summaries, p) <= (constant * scale / (1.0 - bound)) ** p
 
 
-def event_check(summaries: list[BlockSummary], p: float, sigma_tilde: float, config: AdaptiveConfig) -> bool:
+def event_check(summaries: Sequence[BlockSummary], p: float, sigma_tilde: float, config: AdaptiveConfig) -> bool:
     """Stopping rule of the scan: dispersions are calm relative to ``sigma_tilde``."""
     return _calm(summaries, p, sigma_tilde, config.threshold_constant, config.contamination_bound)
 
 
-def event_check_plain(summaries: list[BlockSummary], p: float, sigma: float, config: AdaptiveConfig) -> bool:
+def event_check_plain(summaries: Sequence[BlockSummary], p: float, sigma: float, config: AdaptiveConfig) -> bool:
     """The same rule against a known true scale, with the tighter constant."""
     return _calm(summaries, p, sigma, config.plain_threshold_constant, config.contamination_bound)
 

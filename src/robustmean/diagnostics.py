@@ -28,8 +28,8 @@ class SelfNormalizedStats:
 
 def self_normalized(sample: Sample, part: BlockPartition, true_mean: float) -> SelfNormalizedStats:
     summaries = block_summaries(sample, part)
-    sd = np.array([s.sd for s in summaries])
-    dev = np.array([s.mean for s in summaries]) - true_mean
+    sd = summaries.sds
+    dev = summaries.means - true_mean
     # the mean square about any centre is sd^2 plus the squared offset; hypot squares nothing
     rms = np.hypot(sd, dev)
     t_stat = np.divide(dev, sd, out=np.zeros_like(dev), where=sd > 0.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,29 +158,236 @@ def partition(n: int, k: int) -> BlockPartition:
     return BlockPartition(np.concatenate(([0], np.cumsum(sizes))))
 
 
-def block_summaries(sample: Sample, part: BlockPartition) -> list[BlockSummary]:
-    """Per-block mean and dispersion.
+class BlockSummaries(Sequence):
+    """Every block's mean, sd and size as arrays, read as a sequence of :class:`BlockSummary`.
 
-    Sums use exactly rounded accumulation (``math.fsum``), so the
-    summaries do not depend on the order of values within a block and a
-    single-block mean is the correctly rounded sample mean.
+    The blockwise estimators read the arrays.  Indexing and iteration build
+    :class:`BlockSummary` values on demand, and the sequence compares equal
+    to a list of equal summaries.
     """
-    x = sample.values
-    if part.n != x.size:
-        raise ValueError("partition does not cover this sample")
-    out = []
-    for lo, hi in part.blocks():
-        block = x[lo:hi]
-        size = hi - lo
-        if block[0] == block[-1] and (block == block[0]).all():
-            # constant block: the mean is that value with no rounding at all
-            out.append(BlockSummary(float(block[0]), 0.0, size))
-            continue
-        values = block.tolist()
-        mean = math.fsum(values) / size
-        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / size)
-        out.append(BlockSummary(mean, sd, size))
+
+    __slots__ = ("means", "sds", "sizes")
+    __hash__ = None
+
+    def __init__(self, means: np.ndarray, sds: np.ndarray, sizes: np.ndarray):
+        self.means, self.sds, self.sizes = means, sds, sizes
+
+    def __len__(self) -> int:
+        return self.means.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        return BlockSummary(float(self.means[index]), float(self.sds[index]), int(self.sizes[index]))
+
+    def __iter__(self):
+        return map(BlockSummary, self.means.tolist(), self.sds.tolist(), self.sizes.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (BlockSummaries, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"BlockSummaries({list(self)!r})"
+
+
+def _fsum_stats(block: np.ndarray) -> tuple[float, float]:
+    """Mean and sd of one block that is not constant, by ``math.fsum``: what the engine reproduces."""
+    values = block.tolist()
+    mean = math.fsum(values) / len(values)
+    return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``s = a + b`` rounded and the error ``a + b - s``, exactly (Knuth)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+_EXPONENT_BITS = 0x7FF0000000000000
+
+
+def _gap_below(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The gap from each ``a >= 0`` down to the next double, the nearer of its two gaps, written to ``out``.
+
+    It is the ulp of the predecessor, read from its exponent bits; 0 for
+    0, subnormals and the least normal, which makes every test against
+    it fail safe.
+    """
+    bits = out.view(np.int64)
+    np.subtract(a.view(np.int64), 1, out=bits)
+    np.maximum(bits, 0, out=bits)
+    bits &= _EXPONENT_BITS
+    out *= 2.0**-52
     return out
+
+
+# Rows whose largest |value| lies outside this range go to math.fsum, so the
+# extraction constants below neither overflow nor underflow.
+_EXTRACT_RANGE = (2.0**-900, 2.0**900)
+
+
+def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum rounded once, as ``math.fsum`` gives it, and whether that is certified.
+
+    Rows are the segments of ``x`` that start at ``starts``; ``amax`` is
+    each row's largest |value|.  The method is AccSum-style extraction
+    (Rump, Ogita and Oishi 2008, *Accurate floating-point summation*):
+    with ``sigma`` a power of two at least ``2**m`` times every |value|
+    of its row, where ``2**m >= L + 2`` for every row length L,
+    ``q = (sigma + x) - sigma`` and ``x - q`` are exact and a row's q
+    sum exactly in any order.  Two passes leave a residual, summed
+    plainly under the error bound ``bound`` (4 L 2**-53 times the sum of
+    its magnitudes, four times what gamma_L needs).  TwoSum then splits the
+    exact sum into ``total`` plus a leftover.  A row is certified when
+    its residual and the error of adding it are exactly 0, so that
+    ``total`` is one rounding of the exact sum, or when the leftover plus
+    ``bound`` is under half the gap from ``total`` to its nearer
+    neighbour.  Uncertified rows must be summed by ``math.fsum``.
+    """
+    huge = amax >= _EXTRACT_RANGE[1]
+    if huge.any():
+        # zeros keep the passes below finite; these rows stay uncertified
+        x = np.where(np.repeat(huge, sizes), 0.0, x)
+        amax = np.where(huge, 0.0, amax)
+    m = int(sizes.max() + 1).bit_length()
+    sigma = np.repeat(np.ldexp(1.0, np.frexp(amax)[1] + m), sizes)
+    high = sigma + x
+    high -= sigma
+    rest = x - high
+    first = np.add.reduceat(high, starts)
+    # every |rest| is at most 2**-53 * sigma, so this sigma is at least 2**m times that
+    sigma *= 2.0 ** (m + 1 - 53)
+    np.add(sigma, rest, out=high)
+    high -= sigma
+    rest -= high
+    second = np.add.reduceat(high, starts)
+    in_range = amax >= _EXTRACT_RANGE[0]
+    if not rest.any():
+        # the two passes took every value whole: the residual clause for every row at once
+        return first + second, in_range
+    residual = np.add.reduceat(rest, starts)
+    bound = np.add.reduceat(np.abs(rest, out=rest), starts) * (sizes * 2.0**-51)
+    head, tail = _two_sum(first, second)
+    tail, tail_error = _two_sum(tail, residual)
+    total, head_error = _two_sum(head, tail)
+    # the factor under 1/2 absorbs the rounding of the test's own sum
+    half_gap = _gap_below(np.abs(total), np.empty_like(total))
+    half_gap *= 0.5 - 2.0**-51
+    exact = (bound == 0.0) & (tail_error == 0.0)
+    certified = exact | (np.abs(head_error + tail_error) + bound < half_gap)
+    return total, certified & in_range
+
+
+# 2**27 + 1 splits a double into two halves whose products are exact (Dekker).
+_SPLIT = 134217729.0
+# Squares whose exact value lies within this many ulps of a rounding
+# midpoint are recomputed by libm pow.  Outside this window pow rounds like
+# d * d as long as its error stays under 0.55 ulp.  The source comment of
+# glibc's pow (sysdeps/ieee754/dbl-64/e_pow.c) puts its worst case at 0.54
+# ulp with FMA and slightly more without; that is a derivation, not a
+# documented guarantee.  On 10**6 squares between 1e-200 and 1e200 the 854
+# values where pow and d * d differ all lay within 0.005 ulp of a midpoint.
+_POW_MARGIN = 0.05
+# |d| in this range keeps d * d and Dekker's products clear of overflow and underflow.
+_SQUARE_RANGE = (2.0**-450, 2.0**450)
+
+
+def _pow_squares(d: np.ndarray) -> np.ndarray:
+    """``v ** 2`` for every v in ``d``, bit for bit as Python's float pow rounds it.
+
+    Python's ``**`` calls libm ``pow``, which is not correctly rounded,
+    so a square near a rounding midpoint, or outside
+    :data:`_SQUARE_RANGE`, is recomputed by ``**`` itself; that also
+    raises the same ``OverflowError`` on huge values.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Dekker's split hi + lo == d into halves whose products are exact,
+        # written in place: the working set is four arrays besides d
+        hi = d * _SPLIT
+        lo = hi - d
+        hi -= lo
+        np.subtract(d, hi, out=lo)
+        square = d * d
+        error = hi * hi
+        error -= square
+        hi *= lo
+        hi += hi
+        error += hi
+        lo *= lo
+        error += lo  # d*d - square, exactly
+    mag = np.abs(d, out=hi)
+    redo = mag > _SQUARE_RANGE[1]
+    redo |= (mag < _SQUARE_RANGE[0]) & (mag != 0.0)
+    gap = _gap_below(square, out=lo)
+    gap *= 0.5 - _POW_MARGIN
+    redo |= np.abs(error, out=error) > gap
+    index = np.flatnonzero(redo)
+    square[index] = [v**2 for v in d[index].tolist()]
+    return square
+
+
+# A run whose largest |value| reaches this goes wholly through the per-block
+# loop: a deviation, at most twice that value, could overflow when squared,
+# and the loop raises that OverflowError, or fsum's, in block order.
+_ENGINE_MAX = 2.0**500
+
+
+def _rows_stats(x: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.ndarray) -> None:
+    """Write the mean and sd of each of the consecutive blocks of ``sizes`` covering ``x``."""
+    starts = np.cumsum(sizes) - sizes
+    low = np.minimum.reduceat(x, starts)
+    high = np.maximum.reduceat(x, starts)
+    amax = np.maximum(high, -low)
+    constant = low == high
+    sds.fill(0.0)
+    certified = np.zeros(sizes.size, dtype=bool)
+    if amax.max() < _ENGINE_MAX:
+        sums, certified = _exact_sums(x, starts, sizes, amax)
+        np.divide(sums, sizes, out=means)
+        spread = certified & ~constant
+        if spread.any():
+            y, row_sizes = x, sizes
+            if not spread.all():
+                y, row_sizes = x[np.repeat(spread, sizes)], sizes[spread]
+            row_starts = np.cumsum(row_sizes) - row_sizes
+            squares = _pow_squares(y - np.repeat(means[spread], row_sizes))
+            square_sums, square_certified = _exact_sums(squares, row_starts, row_sizes, np.maximum.reduceat(squares, row_starts))
+            sds[spread] = np.sqrt(square_sums / row_sizes)
+            certified[spread] = square_certified
+    means[constant] = x[starts[constant]]
+    for j in np.flatnonzero(~certified & ~constant):
+        means[j], sds[j] = _fsum_stats(x[starts[j] : starts[j] + sizes[j]])
+
+
+# The engine runs over runs of whole blocks holding about this many values,
+# so its temporaries stay a few arrays of this length (or of one longer block).
+_RUN_VALUES = 8192
+
+
+def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
+    """Per-block mean and dispersion, bit for bit what :func:`_fsum_stats` gives per block.
+
+    Sums are exactly rounded (``math.fsum``'s results), so the summaries
+    do not depend on the order of values within a block and a
+    single-block mean is the correctly rounded sample mean.  A constant
+    block reports its value and sd 0 without any rounding.  The other
+    blocks go through :func:`_exact_sums` and :func:`_pow_squares` over
+    the flat array; a block whose sum or sum of squares is not certified
+    runs :func:`_fsum_stats` instead.
+    """
+    values = sample.values
+    if part.n != values.size:
+        raise ValueError("partition does not cover this sample")
+    bounds, sizes = part.boundaries, part.sizes
+    means, sds = np.empty(part.k), np.empty(part.k)
+    # a run starts at each block that starts in a new window of _RUN_VALUES
+    firsts = np.flatnonzero(np.diff(bounds[:-1] // _RUN_VALUES, prepend=-1)).tolist()
+    for a, b in zip(firsts, firsts[1:] + [part.k]):
+        _rows_stats(values[bounds[a] : bounds[b]], sizes[a:b], means[a:b], sds[a:b])
+    return BlockSummaries(means, sds, sizes)
 
 
 # A block whose sd is at most this fraction of the largest block-mean
@@ -193,7 +401,17 @@ def block_summaries(sample: Sample, part: BlockPartition) -> list[BlockSummary]:
 QUIET_RELATIVE_SD = 2.0**-52
 
 
-def _inverse_power_ratios(summaries: list[BlockSummary], p: float) -> tuple[float, np.ndarray]:
+def _block_arrays(summaries: Sequence[BlockSummary]) -> BlockSummaries:
+    """The summaries as arrays: :class:`BlockSummaries` as they are, a list converted once."""
+    if isinstance(summaries, BlockSummaries):
+        return summaries
+    if not summaries:
+        raise ValueError("no blocks")
+    means, sds, sizes = zip(*((s.mean, s.sd, s.size) for s in summaries))
+    return BlockSummaries(np.array(means), np.array(sds), np.array(sizes))
+
+
+def _inverse_power_ratios(summaries: Sequence[BlockSummary], p: float) -> tuple[float, np.ndarray]:
     """The least block sd ``ref`` and each block's ``(ref / sd) ** p``, which cannot overflow.
 
     A zero-sd block would take infinite weight, so when a quiet block (sd
@@ -203,17 +421,16 @@ def _inverse_power_ratios(summaries: list[BlockSummary], p: float) -> tuple[floa
     """
     if not 1 <= p < math.inf:
         raise ValueError("p must be a finite number >= 1")
-    if not summaries:
-        raise ValueError("no blocks")
-    sds = np.array([s.sd for s in summaries])
-    quiet = sds <= QUIET_RELATIVE_SD * max(abs(s.mean) for s in summaries)
+    arrays = _block_arrays(summaries)
+    means, sds = arrays.means, arrays.sds
+    quiet = sds <= QUIET_RELATIVE_SD * np.abs(means).max()
     if quiet.any():
         return 0.0, quiet.astype(np.float64)
     ref = sds.min()
     return ref, (ref / sds) ** p
 
 
-def block_weights(summaries: list[BlockSummary], p: float) -> np.ndarray:
+def block_weights(summaries: Sequence[BlockSummary], p: float) -> np.ndarray:
     """Normalised weights proportional to ``sd ** -p``; nonnegative, sum 1.
 
     Quiet blocks (see :func:`_inverse_power_ratios`), zero-sd ones
@@ -223,18 +440,15 @@ def block_weights(summaries: list[BlockSummary], p: float) -> np.ndarray:
     return ratios / ratios.sum()
 
 
-def weighted_mean(summaries: list[BlockSummary], p: float) -> float:
+def weighted_mean(summaries: Sequence[BlockSummary], p: float) -> float:
     """Average of block means under :func:`block_weights`."""
-    weights = block_weights(summaries, p)
-    means = np.array([s.mean for s in summaries])
-    return float(weights @ means)
+    summaries = _block_arrays(summaries)
+    return float(block_weights(summaries, p) @ summaries.means)
 
 
-def median_of_means(summaries: list[BlockSummary]) -> float:
+def median_of_means(summaries: Sequence[BlockSummary]) -> float:
     """Median of the block means; an even count averages the central pair."""
-    if not summaries:
-        raise ValueError("no blocks")
-    return float(np.median([s.mean for s in summaries]))
+    return float(np.median(_block_arrays(summaries).means))
 
 
 def trimmed_mean(sample: Sample, epsilon: float) -> float:

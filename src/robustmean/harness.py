@@ -18,7 +18,7 @@ import numpy as np
 from .datagen import DISTRIBUTION_FIELDS, ContaminationSpec, DistributionSpec, contaminate, sample
 from .estimators import (
     ESTIMATOR_FIELDS,
-    BlockSummary,
+    BlockSummaries,
     EstimatorSpec,
     block_summaries,
     estimate,
@@ -193,7 +193,7 @@ def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentTabl
     for r in range(spec.replications):
         raw = sample(spec.distribution, spec.n, substream_seed(spec.base_seed, "sample", r))
         corrupted = contaminate(raw, spec.contamination, substream_seed(spec.base_seed, "contaminate", r))
-        summaries: dict[int, list[BlockSummary]] = {}
+        summaries: dict[int, BlockSummaries] = {}
         for est, row in zip(spec.estimators, errors[r]):
             if "k" not in ESTIMATOR_FIELDS[est.kind]:
                 row[:] = estimate(corrupted, est) - true_mean

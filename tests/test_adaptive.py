@@ -11,11 +11,13 @@ import robustmean.adaptive
 from robustmean import (
     AdaptiveConfig,
     BlockSummary,
+    ContaminationSpec,
     DistributionSpec,
     Sample,
     adaptive_estimate,
     adaptive_k,
     block_summaries,
+    contaminate,
     event_check,
     event_check_plain,
     harmonic_mean_inverse,
@@ -185,6 +187,19 @@ def test_adaptive_k_returns_2_when_no_level_passes(monkeypatch):
     monkeypatch.setattr(robustmean.adaptive, "event_check", lambda *a, **kw: False)
     s = sample(DistributionSpec.normal(), 1000, 1)
     assert adaptive_k(s, CFG, 1.0) == 2
+
+
+def test_adaptive_k_builds_each_scanned_level_once(monkeypatch):
+    s = contaminate(sample(DistributionSpec.normal(), 1000, 1), ContaminationSpec(10, 1e4), 2)
+    built = []
+
+    def counted(sample, part):
+        built.append(part.k)
+        return block_summaries(sample, part)
+
+    monkeypatch.setattr(robustmean.adaptive, "block_summaries", counted)
+    k = adaptive_k(s, CFG, robust_sigma(s).sigma_tilde)
+    assert k > 2 and built == [1 << i for i in range(1, k.bit_length())]
 
 
 def test_adaptive_k_zero_scale_stops_at_singleton_blocks():

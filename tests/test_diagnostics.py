@@ -19,6 +19,7 @@ from robustmean import (
     self_normalized,
     tail_quantile_check,
 )
+from test_estimators import bits, oracle_block_stats
 
 
 def test_self_normalized_hand_block():
@@ -29,6 +30,18 @@ def test_self_normalized_hand_block():
     # identity: sd = V * sqrt(1 - Q^2) -> 1 = sqrt(2) * sqrt(1/2)
     sd = block_summaries(Sample(np.array([0.0, 2.0])), partition(2, 1))[0].sd
     assert abs(sd - stats.rms_dev[0] * math.sqrt(1.0 - stats.self_norm[0] ** 2)) < 1e-12
+
+
+def test_self_normalized_is_bit_equal_to_its_formulas_on_the_fsum_loop():
+    s = contaminate(sample(DistributionSpec.half_t(4.0), 997, 3), ContaminationSpec(20, 1e3), 4)
+    part = partition(s.n, 7)
+    stats = self_normalized(s, part, 0.25)
+    means, sds = oracle_block_stats(s.values, part)
+    sd, dev = np.array(sds), np.array(means) - 0.25
+    rms = np.hypot(sd, dev)
+    assert bits(stats.rms_dev) == bits(rms)
+    assert bits(stats.t_stat) == bits(dev / sd)
+    assert bits(stats.self_norm) == bits(dev / rms)
 
 
 def test_self_normalized_degenerate_block_reports_zeros():

@@ -21,6 +21,7 @@ from robustmean import (
     trimmed_mean,
     weighted_mean,
 )
+from robustmean.estimators import _exact_sums, _pow_squares
 
 
 def summaries_of(values, k):
@@ -91,6 +92,16 @@ def test_block_summaries_constant_sample_is_exact():
     assert estimate(Sample(np.full(7, 0.1)), EstimatorSpec("weighted", k=1)) == 0.1
 
 
+def test_block_summaries_read_as_a_list_of_summaries():
+    got = summaries_of([1.0, 2.0, 3.0, 4.5, 7.0], 2)
+    want = [BlockSummary(2.0, math.sqrt(2 / 3), 3), BlockSummary(5.75, 1.25, 2)]
+    assert got == want and got == summaries_of([1.0, 2.0, 3.0, 4.5, 7.0], 2) and got != want[:1]
+    assert len(got) == 2 and list(got) == want and got[-1] == want[1] and got[:1] == want[:1]
+    assert got.means.tolist() == [2.0, 5.75] and got.sizes.tolist() == [3, 2]
+    with pytest.raises(IndexError):
+        got[2]
+
+
 def test_block_summaries_length_mismatch():
     with pytest.raises(ValueError):
         block_summaries(Sample(np.arange(5.0)), partition(6, 2))
@@ -109,6 +120,104 @@ def test_block_summaries_match_exact_rational_oracle(values, data):
         assert s.size == len(block)
         assert math.isclose(s.mean, statistics.mean(block), rel_tol=1e-13, abs_tol=1e-13)
         assert math.isclose(s.sd, statistics.pstdev(block), rel_tol=1e-9, abs_tol=1e-12)
+
+
+# -------------------------------------------- block statistics, bit for bit
+
+
+def oracle_block_stats(values: np.ndarray, part: BlockPartition) -> tuple[list[float], list[float]]:
+    """The per-block loop the array engine replaces: ``math.fsum`` sums and ``**`` squares."""
+    means, sds = [], []
+    for lo, hi in part.blocks():
+        block = values[lo:hi]
+        if block[0] == block[-1] and (block == block[0]).all():
+            means.append(float(block[0]))
+            sds.append(0.0)
+            continue
+        vals = block.tolist()
+        mean = math.fsum(vals) / len(vals)
+        means.append(mean)
+        sds.append(math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / len(vals)))
+    return means, sds
+
+
+def bits(values) -> list[int]:
+    """Each float's bit pattern, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def mixed_magnitudes(draw):
+    """Values between 1e-300 and 1e301 in magnitude, with cancelling pairs, ties and a constant run."""
+    top = draw(st.integers(-300, 300))
+    bottom = draw(st.integers(-300, top))
+    magnitude = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(bottom, top))
+    signed = st.builds(lambda v, negative: -v if negative else v, magnitude, st.booleans())
+    values = draw(st.lists(signed | st.sampled_from([0.0, -0.0]), min_size=1, max_size=40))
+    for index, twin in draw(st.lists(st.tuples(st.integers(0, len(values) - 1), st.booleans()), max_size=12)):
+        values.append(-values[index] if twin else values[index])
+    values = draw(st.permutations(values))
+    if draw(st.booleans()):
+        values[:0] = [draw(signed)] * draw(st.integers(1, 6))
+    return np.array(values)
+
+
+@given(mixed_magnitudes(), st.data())
+@settings(max_examples=300)
+def test_block_stats_bit_equal_to_the_fsum_loop(x, data):
+    k = data.draw(st.just(x.size) | st.integers(1, x.size), label="k")
+    part = partition(x.size, k)
+    try:
+        want_means, want_sds = oracle_block_stats(x, part)
+    except OverflowError as want:
+        with pytest.raises(OverflowError) as got:
+            block_summaries(Sample(x), part)
+        assert got.value.args == want.args
+        return
+    got = block_summaries(Sample(x), part)
+    means, sds = got.means, got.sds
+    assert bits(means) == bits(want_means)
+    assert bits(sds) == bits(want_sds)
+
+
+def test_squares_equal_libm_pow_bit_for_bit():
+    # Python's ** calls libm pow, which is not correctly rounded: under glibc
+    # it differs from d * d on about 0.08% of these values.
+    rng = np.random.default_rng(20081217)
+    d = rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-100.0, 100.0, 10**6)
+    want = [v**2 for v in d.tolist()]
+    assert bits(_pow_squares(d)) == bits(want)
+
+
+def test_uncertified_row_falls_back_to_fsum():
+    # 1 + 2**-53 is a rounding midpoint and 2**-150 tips the exact sum past
+    # it.  The extraction passes leave 2**-150 as the residual, too small to
+    # move the rounded total off 1.0, so the certificate must refuse the row.
+    row = np.array([1.0, 2.0**-53, 2.0**-150])
+    total, certified = _exact_sums(row, np.array([0]), np.array([3]), np.array([1.0]))
+    assert total[0] == 1.0 and not certified[0]
+    means = block_summaries(Sample(row), partition(3, 1)).means
+    assert math.fsum(row.tolist()) == 1.0 + 2.0**-52
+    assert bits(means) == bits(oracle_block_stats(row, partition(3, 1))[0])
+    assert bits(means) != bits([1.0 / 3.0])
+
+
+@pytest.mark.parametrize(
+    "values, k",
+    [
+        ([1e160, -1e160, 3e160, 2e160, 1.0, 2.0], 3),  # the squares overflow in pow
+        ([1e308, 1.7e308, 3e160, 1e160], 2),  # fsum overflows in block 0, before block 1's squares
+        ([1.0, 2.0, 3e160, 1e160, 1e308, 1.7e308], 3),  # pow in block 1, before fsum in block 2
+    ],
+)
+def test_huge_values_raise_the_fsum_loops_overflow_error(values, k):
+    x = np.array(values)
+    part = partition(x.size, k)
+    with pytest.raises(OverflowError) as want:
+        oracle_block_stats(x, part)
+    with pytest.raises(OverflowError) as got:
+        block_summaries(Sample(x), part)
+    assert got.value.args == want.value.args
 
 
 # ------------------------------------------------------------ weighted mean

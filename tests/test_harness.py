@@ -10,6 +10,7 @@ import pytest
 
 from robustmean import (
     CSV_COLUMNS,
+    BlockSummary,
     ConfigError,
     ContaminationSpec,
     DistributionSpec,
@@ -20,6 +21,7 @@ from robustmean import (
     emit_results,
     estimate,
     figure_grid_table,
+    median_of_means,
     parse_config,
     partition,
     run_experiment,
@@ -28,6 +30,7 @@ from robustmean import (
     validate_spec,
     weighted_mean,
 )
+from test_estimators import oracle_block_stats
 
 ALL_KINDS = (
     EstimatorSpec("weighted", p=2.0),
@@ -174,6 +177,26 @@ def test_aggregates_match_independent_replay():
         assert m.max_abs_error == np.abs(arr).max()
         assert abs(m.rescaled_sd - math.sqrt(spec.n) * arr.std()) <= 1e-12
         assert m.max_abs_error >= m.mean_abs_error >= abs(m.mean_error)
+
+
+def test_blockwise_cells_replay_exactly_from_the_fsum_loop():
+    """Each replication's error in every weighted and mom cell equals, bit for bit, the error
+    rebuilt from the per-block ``math.fsum`` loop.  One replication per run, so mean_error
+    is that replication's error exactly."""
+    blockwise = (EstimatorSpec("weighted", p=2.0), EstimatorSpec("weighted", p=1.0), EstimatorSpec("mom"))
+    for seed in range(6):
+        spec = small_spec(estimators=blockwise, k_grid=(2, 3, 50, 500), replications=1, base_seed=seed)
+        table = run_experiment(spec)
+        raw = sample(spec.distribution, spec.n, substream_seed(seed, "sample", 0))
+        corrupted = contaminate(raw, spec.contamination, substream_seed(seed, "contaminate", 0))
+        for k in spec.k_grid:
+            part = partition(spec.n, k)
+            means, sds = oracle_block_stats(corrupted.values, part)
+            summaries = [BlockSummary(m, s, size) for m, s, size in zip(means, sds, part.sizes.tolist())]
+            for est in blockwise:
+                value = weighted_mean(summaries, est.p) if est.kind == "weighted" else median_of_means(summaries)
+                got = table.metrics(est.kind, k=k, p=est.p if est.kind == "weighted" else None).mean_error
+                assert got == value - spec.distribution.true_mean
 
 
 @pytest.mark.parametrize(
