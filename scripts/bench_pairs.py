@@ -1,0 +1,159 @@
+"""Run the benchmark on a parent revision and on this checkout, in alternating pairs.
+
+    python3 scripts/bench_pairs.py --pr N --workload estimate_cli --pairs 10 --seed 17 --seconds 30
+
+The parent's committed files are exported with ``git archive`` into a
+temporary directory, which is removed afterwards.  Pair i runs
+``perfbench/run.py`` on both trees, the parent first in even pairs and this
+checkout first in odd ones.  Every result line is appended, as one session,
+to ``BENCH_<pr>.json`` at the top of this checkout.  The summary gives, for
+each metric, both sides' medians and quartiles, the change's wins and
+whether it counts as a gain: wins in at least nine tenths of the pairs, ties
+counting for neither, and medians further apart than the parent's
+interquartile range.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(revision: str, dest: Path) -> None:
+    """The committed files of ``revision``, without a ``.git`` directory."""
+    archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT, check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def bench(tree: Path, bench_args: list[str]) -> dict:
+    """One run of the benchmark in ``tree``; its result line."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", *bench_args], cwd=tree, capture_output=True, text=True, timeout=3600,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"perfbench in {tree} exited with {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def directions() -> dict[str, str]:
+    """Metric name -> "higher" or "lower", as BENCHMARK.json declares it."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def better(key: str, table: dict[str, str]) -> str | None:
+    # with --workload all a key carries the workload's name in front
+    return table.get(key) or table.get(key.split(".", 1)[-1])
+
+
+def spread(values: list[float]) -> tuple[float, float, float]:
+    """Median and quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def summarise(pairs: list[dict]) -> None:
+    table = directions()
+    for side in ("parent", "change"):
+        failed = sum(p[side]["failed"] for p in pairs)
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        print(f"{side}: {failed} of {attempted} calls failed")
+    keys = [k for k in pairs[0]["parent"]["metrics"] if all(k in p[s]["metrics"] for p in pairs for s in ("parent", "change"))]
+    print(f"{'metric':44} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} {'ratio':>7} {'wins':>6}  gain")
+    for key in keys:
+        parent = [p["parent"]["metrics"][key]["value"] for p in pairs]
+        change = [p["change"]["metrics"][key]["value"] for p in pairs]
+        (pm, pq1, pq3), (cm, cq1, cq3) = spread(parent), spread(change)
+        ratio = f"{cm / pm:7.3f}" if pm else f"{'-':>7}"
+        direction = better(key, table)
+        if direction is None:
+            wins, gain = "?", "?"
+        else:
+            sign = 1 if direction == "higher" else -1
+            won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            wins = f"{won}/{len(pairs)}"
+            gain = "yes" if 10 * won >= 9 * len(pairs) and sign * (cm - pm) > pq3 - pq1 else "no"
+        print(f"{key:44} {pm:12.6g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.6g} [{cq1:8.4g}, {cq3:8.4g}] {ratio} {wins:>6}  {gain}")
+
+
+def dumps(record: dict) -> str:
+    """The record as JSON, one pair of result lines per line of text."""
+    sessions = []
+    for session in record["sessions"]:
+        head = json.dumps({k: v for k, v in session.items() if k != "pairs"})
+        pairs = ",\n".join("    " + json.dumps(pair) for pair in session["pairs"])
+        sessions.append(f'{head[:-1]}, "pairs": [\n{pairs}\n  ]}}')
+    return f'{{"what": {json.dumps(record["what"])}, "sessions": [\n  ' + ",\n  ".join(sessions) + "\n]}\n"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", required=True, help="names the output file, BENCH_<pr>.json")
+    parser.add_argument("--parent", default="HEAD", help="revision to compare against (default HEAD)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", default="all")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    bench_args = ["--workload", args.workload, "--seed", str(args.seed),
+                  "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    parent_commit = git("rev-parse", "--short", args.parent)
+    head = git("rev-parse", "--short", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    session = {
+        "command": "python3 perfbench/run.py " + " ".join(bench_args),
+        "parent": parent_commit,
+        "change": f"working tree at {head}" + (" with uncommitted edits" if dirty else ""),
+        "machine": f"{os.cpu_count()} cores, {platform.system()}, Python {platform.python_version()}, "
+                   f"{' '.join(platform.libc_ver())}",
+        "pairs": [],
+    }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {
+        "what": "Result lines of perfbench/run.py on a parent commit and on the change, run in alternating "
+                "pairs on one machine by scripts/bench_pairs.py; one session per invocation.",
+        "sessions": [],
+    }
+    parent_tree = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    try:
+        export(parent_commit, parent_tree)
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = bench(parent_tree if side == "parent" else ROOT, bench_args)
+            session["pairs"].append(pair)
+            print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+    finally:
+        shutil.rmtree(parent_tree, ignore_errors=True)
+        if session["pairs"]:
+            record["sessions"].append(session)
+            out.write_text(dumps(record), encoding="utf-8")
+    summarise(session["pairs"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

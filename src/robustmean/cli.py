@@ -9,7 +9,9 @@ file or stdin, ``simulate`` runs a JSON-described experiment, and
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -27,31 +29,75 @@ from .harness import (
 )
 
 _JOBS_HELP = "accepted for compatibility and validated (defaults to ROBUSTMEAN_JOBS or 1); runs are serial"
+_CHUNK_CHARS = 1 << 16  # characters read at a time; bounds the text held in memory
+_COMMENT = re.compile("#[^\n]*")
+
+
+def _parse_lines(lines: list[str], first_lineno: int) -> tuple[list[float], tuple[int, float] | None]:
+    """One chunk's values line by line, with the line and value of its first non-finite one.
+
+    ``lines`` have their comments removed already.  Raises the error that
+    names the first line that is not a number.
+    """
+    values = []
+    non_finite = None
+    for lineno, line in enumerate(lines, start=first_lineno):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise RuntimeError(f"input line {lineno} is not a number: {text!r}") from None
+        if non_finite is None and not math.isfinite(value):
+            non_finite = (lineno, value)
+        values.append(value)
+    return values, non_finite
 
 
 def _read_numbers(handle) -> np.ndarray:
-    values = []
-    skipped = []  # blank and comment lines, so a value's line can be found again
-    for lineno, line in enumerate(handle, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            skipped.append(lineno)
+    """Numbers one per line, ``#`` comments and blank lines skipped.
+
+    Each chunk of whole lines goes through ``float`` in one pass; only a
+    chunk that holds a line ``float`` rejects (a whitespace-only line
+    included) or the first non-finite value is parsed line by line.  A
+    non-finite value is reported after the whole input has parsed, so a
+    later line that is not a number takes precedence.
+    """
+    chunks = []
+    non_finite = None
+    lineno = 1  # of the first line of the next chunk
+    carry = []  # pieces of a line that no read has finished yet
+    at_end = False
+    while not at_end:
+        read = handle.read(_CHUNK_CHARS)
+        # a text stream returns less than asked only at its end; reading on
+        # would make a terminal wait for a second end-of-input
+        at_end = len(read) < _CHUNK_CHARS
+        cut = len(read) if at_end else read.rfind("\n") + 1
+        if not cut and not at_end:
+            carry.append(read)
             continue
+        text = "".join(carry) + read[:cut]
+        carry = [read[cut:]]
+        if "#" in text:
+            text = _COMMENT.sub("", text)
+        lines = text.split("\n")
         try:
-            values.append(float(text))
+            values = np.array(list(map(float, filter(None, lines))))
         except ValueError:
-            raise RuntimeError(f"input line {lineno} is not a number: {text!r}") from None
-    if not values:
+            values = None
+        if values is None or (non_finite is None and not np.isfinite(values).all()):
+            parsed, first = _parse_lines(lines, lineno)
+            values = np.array(parsed)
+            non_finite = non_finite or first
+        chunks.append(values)
+        lineno += len(lines) - 1
+    numbers = np.concatenate(chunks)
+    if not numbers.size:
         raise RuntimeError("no numbers in input")
-    numbers = np.array(values)
-    bad = np.flatnonzero(~np.isfinite(numbers))
-    if bad.size:
-        # the value's rank among value lines, moved past each skipped line up to it
-        lineno = int(bad[0]) + 1
-        for blank in skipped:
-            if blank <= lineno:
-                lineno += 1
-        raise RuntimeError(f"input line {lineno} is not a finite number: {values[bad[0]]!r}")
+    if non_finite is not None:
+        raise RuntimeError(f"input line {non_finite[0]} is not a finite number: {non_finite[1]!r}")
     return numbers
 
 

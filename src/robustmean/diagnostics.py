@@ -52,19 +52,18 @@ def outlier_magnitude(sample: Sample, part: BlockPartition, true_sigma: float) -
         raise ValueError("partition does not cover this sample")
     x = sample.values
     mask = sample.outlier_mask
-    smallest = math.inf
-    for lo, hi in part.blocks():
-        hits = mask[lo:hi]
-        count = int(hits.sum())
-        if count == 0 or count == hi - lo:
-            # the gap needs both sub-means to exist
-            continue
-        block = x[lo:hi]
-        gap = float(block[~hits].mean()) - float(block[hits].mean())
-        smallest = min(smallest, count * gap * gap / ((hi - lo) * true_sigma * true_sigma))
-    if math.isinf(smallest):
+    starts = part.boundaries[:-1]
+    sizes = part.sizes
+    counts = np.add.reduceat(mask.astype(np.int64), starts)
+    # the gap needs both sub-means to exist
+    mixed = (counts > 0) & (counts < sizes)
+    if not mixed.any():
         return None
-    return 1.0 + smallest
+    outlier_sums = np.add.reduceat(np.where(mask, x, 0.0), starts)[mixed]
+    inlier_sums = np.add.reduceat(np.where(mask, 0.0, x), starts)[mixed]
+    counts, sizes = counts[mixed], sizes[mixed]
+    gaps = inlier_sums / (sizes - counts) - outlier_sums / counts
+    return 1.0 + float(np.min(counts * gaps * gaps / (sizes * true_sigma * true_sigma)))
 
 
 def tail_quantile_check(

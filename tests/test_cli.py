@@ -3,9 +3,15 @@
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robustmean import EstimatorSpec, Sample, estimate
+from robustmean import cli
 from robustmean.cli import main
+from test_estimators import bits
 
 GOOD_CONFIG = {
     "schema_version": 1,
@@ -71,6 +77,162 @@ def test_estimate_non_finite_value_reports_line(tmp_path, capsys, token, shown, 
     src.write_text(f"# header\n1\n\n2\n# note\n{token}  # suspicious\n" + "3\n" * 20 + "inf\n")
     assert main(["estimate", str(src), "--estimator", *estimator]) == 1
     assert f"error: input line 6 is not a finite number: {shown}\n" == capsys.readouterr().err
+
+
+def test_estimate_late_bad_token_takes_precedence_over_an_earlier_nan(tmp_path, capsys):
+    src = tmp_path / "bad.txt"
+    src.write_text("1\nnan\n" + "2\n" * 40_000 + "oops\n")  # the bad token sits past the first 64 KiB
+    assert main(["estimate", str(src), "--estimator", "mom", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "error: input line 40003 is not a number: 'oops'\n"
+
+
+def test_estimate_reads_a_last_line_without_newline(tmp_path, capsys):
+    src = tmp_path / "open.txt"
+    src.write_text("1\n2\n3 # note\n10")
+    assert main(["estimate", str(src), "--estimator", "mom", "--k", "1"]) == 0
+    assert capsys.readouterr().out == "4\n"
+    src.write_text("1\n2\nnan")
+    assert main(["estimate", str(src), "--estimator", "mom", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "error: input line 3 is not a finite number: nan\n"
+    src.write_text("1\n2\n\n 4x")
+    assert main(["estimate", str(src), "--estimator", "mom", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "error: input line 4 is not a number: '4x'\n"
+
+
+def test_estimate_reads_a_line_longer_than_a_chunk(tmp_path, capsys):
+    long_line = " " * (1 << 20) + "2 # " + "c" * (1 << 20)
+    src = tmp_path / "long.txt"
+    src.write_text(f"1\n{long_line}\n3\n")
+    assert main(["estimate", str(src), "--estimator", "mom", "--k", "1"]) == 0
+    assert capsys.readouterr().out == "2\n"
+    src.write_text(f"1\n{long_line}\n3\nthree\n")
+    assert main(["estimate", str(src), "--estimator", "mom", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "error: input line 4 is not a number: 'three'\n"
+
+
+def test_estimate_reads_crlf_files(tmp_path, capsys):
+    src = tmp_path / "crlf.txt"
+    src.write_bytes(b"# header\r\n1\r\n\r\n2.5\r\n  \r\n4 # note\r\n")
+    assert main(["estimate", str(src), "--estimator", "mom", "--k", "1"]) == 0
+    assert capsys.readouterr().out == "2.5\n"
+    src.write_bytes(b"1\r\n\r\nx y\r\ninf\r\n")
+    assert main(["estimate", str(src), "--estimator", "mom", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "error: input line 3 is not a number: 'x y'\n"
+
+
+def test_estimate_reads_stdin_spanning_many_chunks(monkeypatch, capsys):
+    rng = np.random.default_rng(8)
+    values = rng.standard_t(4.0, 60_000)
+    lines = ["# header"]
+    for i, v in enumerate(values.tolist()):
+        lines.append(f"{v!r} # row {i}" if i % 7 == 0 else repr(v))
+        if i % 1000 == 999:
+            lines.append("")
+    text = "\n".join(lines) + "\n"  # about 1.3 MB
+    want = format(estimate(Sample(values), EstimatorSpec("mom", k=7)), ".17g")
+
+    def run(data):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data.encode()), encoding="utf-8", newline="\n"))
+        return main(["estimate", "--estimator", "mom", "--k", "7"])
+
+    assert run(text) == 0
+    assert capsys.readouterr().out == f"{want}\n"
+    lines[50_000] = "-inf"
+    assert run("\n".join(lines)) == 1
+    assert capsys.readouterr().err == "error: input line 50001 is not a finite number: -inf\n"
+
+
+class TerminalInput(io.StringIO):
+    """Stdin on a terminal: once it has signalled the end of input, another read waits for more."""
+
+    ended = False
+
+    def read(self, size=-1):
+        assert not self.ended, "read again after the end of input"
+        text = super().read(size)
+        self.ended = size is None or size < 0 or len(text) < size
+        return text
+
+    def readline(self, size=-1):
+        assert not self.ended, "read again after the end of input"
+        text = super().readline(size)
+        self.ended = not text
+        return text
+
+
+def test_estimate_stops_at_the_first_end_of_input(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", TerminalInput("1\n2\n"))
+    assert main(["estimate", "--estimator", "mom", "--k", "1"]) == 0
+    assert capsys.readouterr().out == "1.5\n"
+
+
+# ----------------------------------------------------- input parsing, oracle
+
+
+def oracle_read_numbers(handle) -> np.ndarray:
+    """The per-line loop the chunked reader replaces."""
+    values = []
+    skipped = []  # blank and comment lines, so a value's line can be found again
+    for lineno, line in enumerate(handle, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            skipped.append(lineno)
+            continue
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise RuntimeError(f"input line {lineno} is not a number: {text!r}") from None
+    if not values:
+        raise RuntimeError("no numbers in input")
+    numbers = np.array(values)
+    bad = np.flatnonzero(~np.isfinite(numbers))
+    if bad.size:
+        # the value's rank among value lines, moved past each skipped line up to it
+        lineno = int(bad[0]) + 1
+        for blank in skipped:
+            if blank <= lineno:
+                lineno += 1
+        raise RuntimeError(f"input line {lineno} is not a finite number: {values[bad[0]]!r}")
+    return numbers
+
+
+INPUT_LINES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from([
+        "", "\t", "  \t ", "# note", "  # indented note", "7 # trailing", "-2.5e-3#tight",
+        "nan", "inf", "-Infinity", "1e999", "-1e999",
+        "three", "1 2", "0x1f", "1,5", "--1", "#", "1_000", "1__0", "\u0661\u0662", " \u00a03 ",
+    ]),
+)
+
+
+def parse_outcome(read, data: str, newline):
+    """The bits ``read`` returns, or its error message.
+
+    ``newline=None`` reads as ``open()`` does; a newline of one line feed reads as stdin does on Linux.
+    """
+    handle = io.TextIOWrapper(io.BytesIO(data.encode("utf-8")), encoding="utf-8", newline=newline)
+    try:
+        return bits(read(handle))
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@given(
+    st.lists(st.tuples(INPUT_LINES, st.sampled_from(["\n", "\r\n"])), max_size=60),
+    st.booleans(),
+    st.integers(1, 40),
+)
+@settings(max_examples=300, deadline=None)
+def test_chunked_reader_matches_the_line_loop(lines, final_newline, chunk_chars):
+    data = "".join(text + end for text, end in lines)
+    if lines and not final_newline:
+        data = data.removesuffix(lines[-1][1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
+        for newline in (None, "\n"):
+            assert parse_outcome(cli._read_numbers, data, newline) == parse_outcome(oracle_read_numbers, data, newline)
 
 
 def test_estimate_empty_input_is_runtime_error(tmp_path, capsys):

@@ -143,6 +143,41 @@ def test_outlier_magnitude_affine_with_matching_sigma(scale, flip, shift):
     assert abs(moved - base) <= 1e-9 * max(1.0, abs(base))
 
 
+def oracle_outlier_magnitude(s: Sample, part, true_sigma: float) -> float | None:
+    """The per-block loop ``outlier_magnitude`` replaces."""
+    x, mask = s.values, s.outlier_mask
+    smallest = math.inf
+    for lo, hi in part.blocks():
+        hits = mask[lo:hi]
+        count = int(hits.sum())
+        if count == 0 or count == hi - lo:
+            continue
+        block = x[lo:hi]
+        gap = float(block[~hits].mean()) - float(block[hits].mean())
+        smallest = min(smallest, count * gap * gap / ((hi - lo) * true_sigma * true_sigma))
+    return None if math.isinf(smallest) else 1.0 + smallest
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 400),
+    st.floats(0.0, 1.0),
+    st.floats(-1e4, 1e4),
+    st.floats(0.1, 10.0),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_outlier_magnitude_matches_the_block_loop(seed, n, share, value, true_sigma, data):
+    count = min(int(share * n), n - 1)
+    s = contaminate(sample(DistributionSpec.half_t(4.0), n, seed), ContaminationSpec(count, value), seed + 1)
+    part = partition(n, data.draw(st.integers(1, n)))
+    got, want = outlier_magnitude(s, part, true_sigma), oracle_outlier_magnitude(s, part, true_sigma)
+    if want is None:
+        assert got is None
+    else:
+        assert abs(got - want) <= 1e-12 * want
+
+
 # ------------------------------------------------------------------ tail scan
 
 
