@@ -71,6 +71,20 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def verdict(parent: list[float], change: list[float], direction: str) -> tuple[int, bool]:
+    """The change's wins over the parent, pair by pair, and whether they make a gain.
+
+    ``direction`` says which way is better, "higher" or "lower".  A tie
+    counts for neither side.  A gain needs wins in at least nine tenths of
+    the pairs and medians further apart, the better way, than the parent's
+    interquartile range.
+    """
+    sign = 1 if direction == "higher" else -1
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    (pm, pq1, pq3), (cm, _, _) = spread(parent), spread(change)
+    return won, 10 * won >= 9 * len(parent) and sign * (cm - pm) > pq3 - pq1
+
+
 def summarise(pairs: list[dict]) -> None:
     table = directions()
     for side in ("parent", "change"):
@@ -88,10 +102,8 @@ def summarise(pairs: list[dict]) -> None:
         if direction is None:
             wins, gain = "?", "?"
         else:
-            sign = 1 if direction == "higher" else -1
-            won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-            wins = f"{won}/{len(pairs)}"
-            gain = "yes" if 10 * won >= 9 * len(pairs) and sign * (cm - pm) > pq3 - pq1 else "no"
+            won, gained = verdict(parent, change, direction)
+            wins, gain = f"{won}/{len(pairs)}", "yes" if gained else "no"
         print(f"{key:44} {pm:12.6g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.6g} [{cq1:8.4g}, {cq3:8.4g}] {ratio} {wins:>6}  {gain}")
 
 

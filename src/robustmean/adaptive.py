@@ -16,7 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import BlockSummary, Sample, _inverse_power_ratios, block_summaries, partition, require_finite, weighted_mean
+from .estimators import (
+    BlockSummaries,
+    BlockSummary,
+    Sample,
+    _inverse_power_ratios,
+    block_summaries,
+    partition,
+    require_finite,
+    weighted_mean,
+)
 
 
 @dataclass(frozen=True)
@@ -113,30 +122,37 @@ def event_check_plain(summaries: Sequence[BlockSummary], p: float, sigma: float,
     return _calm(summaries, p, sigma, config.plain_threshold_constant, config.contamination_bound)
 
 
-def adaptive_k(sample: Sample, config: AdaptiveConfig, sigma_tilde: float) -> int:
+def adaptive_k(
+    sample: Sample, config: AdaptiveConfig, sigma_tilde: float, levels: dict[int, BlockSummaries] | None = None
+) -> int:
     """First power-of-two block count that passes :func:`event_check`.
 
     Scans k = 2, 4, ... up to the largest power of two not exceeding the
-    sample size, rebuilding the partition and summaries at every step.
-    Falls back to 2 when no count passes.
+    sample size.  ``levels`` maps a block count to this sample's summaries
+    at that count: a scanned level missing from it is built and stored
+    there, one already in it is read.  Falls back to 2 when no count passes.
     """
     n = sample.n
     if n < 2:
         raise ValueError("need at least two observations")
+    levels = {} if levels is None else levels
     for i in range(1, n.bit_length()):
         k = 1 << i
-        summaries = block_summaries(sample, partition(n, k))
-        if event_check(summaries, config.p, sigma_tilde, config):
+        if k not in levels:
+            levels[k] = block_summaries(sample, partition(n, k))
+        if event_check(levels[k], config.p, sigma_tilde, config):
             return k
     return 2
 
 
-def adaptive_estimate(sample: Sample, config: AdaptiveConfig) -> float:
+def adaptive_estimate(sample: Sample, config: AdaptiveConfig, levels: dict[int, BlockSummaries] | None = None) -> float:
     """Weighted block mean at the scanned block count.
 
     Fully data-driven: the scale comes from :func:`robust_sigma`, so the
-    caller supplies nothing beyond the sample and the knobs.
+    caller supplies nothing beyond the sample and the knobs.  The chosen
+    level is read from the summaries the scan left in ``levels`` (see
+    :func:`adaptive_k`; a fresh map when None), never built twice.
     """
-    scale = robust_sigma(sample)
-    k = adaptive_k(sample, config, scale.sigma_tilde)
-    return weighted_mean(block_summaries(sample, partition(sample.n, k)), config.p)
+    levels = {} if levels is None else levels
+    k = adaptive_k(sample, config, robust_sigma(sample).sigma_tilde, levels)
+    return weighted_mean(levels[k], config.p)

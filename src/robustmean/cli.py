@@ -58,11 +58,11 @@ def _parse_lines(lines: list[str], first_lineno: int) -> tuple[list[float], tupl
 def _read_numbers(handle) -> np.ndarray:
     """Numbers one per line, ``#`` comments and blank lines skipped.
 
-    Each chunk of whole lines goes through ``float`` in one pass; only a
-    chunk that holds a line ``float`` rejects (a whitespace-only line
-    included) or the first non-finite value is parsed line by line.  A
-    non-finite value is reported after the whole input has parsed, so a
-    later line that is not a number takes precedence.
+    Each chunk of whole lines goes through ``float`` in one pass, retried
+    once with whitespace-only lines dropped; only a chunk that holds a
+    line ``float`` rejects or the first non-finite value is parsed line
+    by line.  A non-finite value is reported after the whole input has
+    parsed, so a later line that is not a number takes precedence.
     """
     chunks = []
     non_finite = None
@@ -86,7 +86,12 @@ def _read_numbers(handle) -> np.ndarray:
         try:
             values = np.array(list(map(float, filter(None, lines))))
         except ValueError:
-            values = None
+            # ``float`` strips whitespace itself, so only a whitespace-only
+            # line (an indented comment, a lone "\r") needs the strip
+            try:
+                values = np.array(list(map(float, filter(None, map(str.strip, lines)))))
+            except ValueError:
+                values = None
         if values is None or (non_finite is None and not np.isfinite(values).all()):
             parsed, first = _parse_lines(lines, lineno)
             values = np.array(parsed)

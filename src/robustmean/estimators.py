@@ -466,8 +466,13 @@ def trimmed_mean(sample: Sample, epsilon: float) -> float:
     return float(np.sort(x)[cut : x.size - cut].mean())
 
 
-def estimate(sample: Sample, spec: EstimatorSpec) -> float:
-    """Run the estimator described by ``spec`` on ``sample``."""
+def estimate(sample: Sample, spec: EstimatorSpec, levels: dict[int, BlockSummaries] | None = None) -> float:
+    """Run the estimator described by ``spec`` on ``sample``.
+
+    ``levels``, a map from block count to this sample's summaries, is
+    handed to the adaptive scan, which reads it and adds the levels it
+    builds (see :func:`~robustmean.adaptive.adaptive_k`).
+    """
     if spec.kind == "weighted":
         return weighted_mean(block_summaries(sample, partition(sample.n, spec.k)), spec.p)
     if spec.kind == "mom":
@@ -478,4 +483,4 @@ def estimate(sample: Sample, spec: EstimatorSpec) -> float:
     from .adaptive import AdaptiveConfig, adaptive_estimate
 
     config = AdaptiveConfig(p=spec.p, contamination_bound=spec.contamination_bound)
-    return adaptive_estimate(sample, config)
+    return adaptive_estimate(sample, config, levels)

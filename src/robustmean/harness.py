@@ -178,7 +178,8 @@ def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentTabl
     The grid supplies k, so the ``k`` field on each estimator spec is
     ignored here.  Estimators that do not use a block count produce the
     same value in every k cell of their row group.  A replication builds
-    the block summaries for a k only when a blockwise estimator reads them.
+    the block summaries for a k only when a blockwise estimator or the
+    adaptive scan reads them, and at most once: its cells share them.
     ``parallelism`` is validated and otherwise unused: it is accepted for
     compatibility, and runs are serial.
     """
@@ -190,17 +191,19 @@ def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentTabl
 
     errors = np.empty((spec.replications, len(spec.estimators), len(spec.k_grid)))
     true_mean = spec.distribution.true_mean
+    parts = {k: partition(spec.n, k) for k in spec.k_grid}
     for r in range(spec.replications):
         raw = sample(spec.distribution, spec.n, substream_seed(spec.base_seed, "sample", r))
         corrupted = contaminate(raw, spec.contamination, substream_seed(spec.base_seed, "contaminate", r))
+        # this replication's summaries by block count, shared by every cell
         summaries: dict[int, BlockSummaries] = {}
         for est, row in zip(spec.estimators, errors[r]):
             if "k" not in ESTIMATOR_FIELDS[est.kind]:
-                row[:] = estimate(corrupted, est) - true_mean
+                row[:] = estimate(corrupted, est, summaries) - true_mean
                 continue
             for j, k in enumerate(spec.k_grid):
                 if k not in summaries:
-                    summaries[k] = block_summaries(corrupted, partition(spec.n, k))
+                    summaries[k] = block_summaries(corrupted, parts[k])
                 value = weighted_mean(summaries[k], est.p) if est.kind == "weighted" else median_of_means(summaries[k])
                 row[j] = value - true_mean
 

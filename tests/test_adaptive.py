@@ -25,6 +25,7 @@ from robustmean import (
     robust_sigma,
     sample,
     substream_seed,
+    weighted_mean,
 )
 
 CFG = AdaptiveConfig()
@@ -228,6 +229,26 @@ def test_adaptive_k_is_power_of_two_in_range(n, seed, sigma):
 
 def test_adaptive_estimate_constant_sample_is_exact():
     assert adaptive_estimate(Sample(np.full(500, 0.1)), CFG) == 0.1
+
+
+def test_adaptive_estimate_builds_exactly_the_scanned_levels(monkeypatch):
+    s = contaminate(sample(DistributionSpec.normal(), 1000, 1), ContaminationSpec(10, 1e4), 2)
+    k = adaptive_k(s, CFG, robust_sigma(s).sigma_tilde)
+    alone = weighted_mean(block_summaries(s, partition(s.n, k)), CFG.p)
+    scanned = [1 << i for i in range(1, k.bit_length())]
+    built = []
+
+    def counted(sample, part):
+        built.append(part.k)
+        return block_summaries(sample, part)
+
+    monkeypatch.setattr(robustmean.adaptive, "block_summaries", counted)
+    assert adaptive_estimate(s, CFG) == alone and built == scanned
+    levels = {}
+    built.clear()
+    assert adaptive_estimate(s, CFG, levels) == alone and built == scanned and sorted(levels) == scanned
+    built.clear()
+    assert adaptive_estimate(s, CFG, levels) == alone and built == []
 
 
 def test_adaptive_estimate_needs_robust_sigma_size():

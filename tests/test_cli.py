@@ -235,6 +235,18 @@ def test_chunked_reader_matches_the_line_loop(lines, final_newline, chunk_chars)
             assert parse_outcome(cli._read_numbers, data, newline) == parse_outcome(oracle_read_numbers, data, newline)
 
 
+@pytest.mark.parametrize("blank", ["  # indented note", "\t", "\r"], ids=["indented-comment", "tab", "carriage-return"])
+def test_whitespace_only_lines_stay_off_the_line_loop(monkeypatch, blank):
+    line_loop_calls = []
+    line_loop = cli._parse_lines
+    monkeypatch.setattr(cli, "_parse_lines", lambda *args: line_loop_calls.append(args) or line_loop(*args))
+    data = "".join(f"{i}.5\n" + (blank + "\n" if i % 100 == 0 else "") for i in range(2000))
+    # a newline of one line feed reads as stdin does on Linux, keeping the "\r"
+    handle = io.TextIOWrapper(io.BytesIO(data.encode("utf-8")), encoding="utf-8", newline="\n")
+    assert bits(cli._read_numbers(handle)) == bits(np.arange(2000) + 0.5)
+    assert line_loop_calls == []
+
+
 def test_estimate_empty_input_is_runtime_error(tmp_path, capsys):
     src = tmp_path / "empty.txt"
     src.write_text("# nothing\n")

@@ -1,6 +1,7 @@
 """Experiment engine: validation, determinism, aggregation, emission, config."""
 
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -10,12 +11,14 @@ import pytest
 
 from robustmean import (
     CSV_COLUMNS,
+    AdaptiveConfig,
     BlockSummary,
     ConfigError,
     ContaminationSpec,
     DistributionSpec,
     EstimatorSpec,
     ExperimentSpec,
+    adaptive_estimate,
     block_summaries,
     contaminate,
     emit_results,
@@ -218,6 +221,66 @@ def test_block_summaries_built_once_per_k_and_only_when_read(monkeypatch, estima
     monkeypatch.setattr(robustmean.harness, "block_summaries", counted)
     run_experiment(small_spec(estimators=estimators, replications=3))
     assert built == built_per_replication * 3
+
+
+def sharing_spec(estimators, **overrides):
+    """Two adaptive cells and a weighted one on data whose scan stops at k = 8 or 16, past the grid's k = 2."""
+    fields = dict(
+        n=1024,
+        distribution=DistributionSpec.half_t(4.0),
+        contamination=ContaminationSpec(20, 1e5),
+        k_grid=(2, 32),
+        estimators=estimators,
+    )
+    return small_spec(**{**fields, **overrides})
+
+
+ADAPTIVE_FIRST = (EstimatorSpec("adaptive", p=2.0), EstimatorSpec("weighted", p=2.0), EstimatorSpec("adaptive", p=1.0))
+WEIGHTED_FIRST = (EstimatorSpec("weighted", p=2.0), EstimatorSpec("adaptive", p=2.0), EstimatorSpec("adaptive", p=1.0))
+
+
+@pytest.mark.parametrize("estimators", [ADAPTIVE_FIRST, WEIGHTED_FIRST], ids=["adaptive-first", "weighted-first"])
+def test_adaptive_cells_sharing_levels_match_each_estimate_alone(estimators):
+    """One replication per run, so mean_error is that replication's error exactly."""
+    for seed in range(4):
+        spec = sharing_spec(estimators, replications=1, base_seed=seed)
+        table = run_experiment(spec)
+        raw = sample(spec.distribution, spec.n, substream_seed(seed, "sample", 0))
+        corrupted = contaminate(raw, spec.contamination, substream_seed(seed, "contaminate", 0))
+        for p in (2.0, 1.0):
+            alone = adaptive_estimate(corrupted, AdaptiveConfig(p=p)) - spec.distribution.true_mean
+            assert table.metrics("adaptive", k=2, p=p).mean_error == alone
+        for k in spec.k_grid:
+            alone = weighted_mean(block_summaries(corrupted, partition(spec.n, k)), 2.0) - spec.distribution.true_mean
+            assert table.metrics("weighted", k=k, p=2.0).mean_error == alone
+
+
+@pytest.mark.parametrize("estimators", [ADAPTIVE_FIRST, WEIGHTED_FIRST], ids=["adaptive-first", "weighted-first"])
+def test_a_replication_builds_each_block_count_once_across_cells(monkeypatch, estimators):
+    import robustmean.adaptive
+    import robustmean.harness
+
+    built = []  # (id of the sample, builder, k) in call order
+
+    def counting(builder):
+        def counted(sample, part):
+            built.append((id(sample), builder, part.k))
+            return block_summaries(sample, part)
+
+        return counted
+
+    monkeypatch.setattr(robustmean.harness, "block_summaries", counting("harness"))
+    monkeypatch.setattr(robustmean.adaptive, "block_summaries", counting("scan"))
+    run_experiment(sharing_spec(estimators, replications=4))
+    # a replication's cells all read one sample, and the next replication's is alive before the last is freed
+    replications = [[(builder, k) for _, builder, k in group] for _, group in itertools.groupby(built, key=lambda b: b[0])]
+    assert len(replications) == 4
+    for builds in replications:
+        ks = [k for _, k in builds]
+        assert len(ks) == len(set(ks)), builds
+        assert {k for builder, k in builds if builder == "scan"} >= {4, 8}
+        if estimators is WEIGHTED_FIRST:
+            assert builds[:2] == [("harness", 2), ("harness", 32)]
 
 
 def test_parallelism_is_byte_identical():
