@@ -28,29 +28,26 @@ from .estimators import (
 )
 
 
+# The stopping rule's constants, fixed as in the paper; the plain one is for
+# event_check_plain's known-scale diagnostic, not for the scan.
+THRESHOLD_CONSTANT = 80.0
+PLAIN_THRESHOLD_CONSTANT = 4.0
+ROBUST_SIGMA_MIN_N = 400  # four groups of 100
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs for the block-count scan.
-
-    ``threshold_constant`` multiplies the robust scale inside the
-    stopping rule.  ``plain_threshold_constant`` is the tighter analogue
-    used by :func:`event_check_plain` when the true scale is known; it
-    exists for diagnostics and is not used by the scan itself.
-    """
+    """The knobs of the block-count scan that the ``adaptive`` kind sets; the thresholds are the constants above."""
 
     p: float = 2.0
     contamination_bound: float = 0.5
-    threshold_constant: float = 80.0
-    plain_threshold_constant: float = 4.0
 
     def __post_init__(self):
-        require_finite(self, ("p", "contamination_bound", "threshold_constant", "plain_threshold_constant"))
+        require_finite(self, ("p", "contamination_bound"))
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if not 0.0 < self.contamination_bound < 1.0:
             raise ValueError("contamination_bound must lie in (0, 1)")
-        if self.threshold_constant <= 0 or self.plain_threshold_constant <= 0:
-            raise ValueError("threshold constants must be positive")
 
 
 # |X - X'| of two independent N(0, sigma^2) draws has median
@@ -74,7 +71,7 @@ def robust_sigma(sample: Sample) -> ScaleEstimate:
     Each group contributes the median of its 50 absolute gaps, and the
     estimate is the median of those over groups.  It is rescaled so that
     on Gaussian data it targets the mean gap E|X - X'| = 2 sigma / sqrt(pi),
-    the scale the scan's ``threshold_constant`` is tuned against.
+    the scale the scan's ``THRESHOLD_CONSTANT`` is tuned against.
 
     Breakdown, counted in outliers per group: a group's median stays
     bounded until 25 of its 50 pairs hold an outlier, and the median over
@@ -87,9 +84,9 @@ def robust_sigma(sample: Sample) -> ScaleEstimate:
     shorter than a group is dropped.
     """
     x = sample.values
+    if x.size < ROBUST_SIGMA_MIN_N:
+        raise ValueError(f"robust_sigma needs at least {ROBUST_SIGMA_MIN_N} observations")
     groups = x.size // 100
-    if groups < 4:
-        raise ValueError("robust_sigma needs at least 400 observations")
     pairs = x[: groups * 100].reshape(groups, 50, 2)
     gaps = np.median(np.abs(pairs[:, :, 1] - pairs[:, :, 0]), axis=1)
     return ScaleEstimate(float(np.median(gaps)) * _MEDIAN_GAP_TO_MEAN_GAP, groups)
@@ -114,12 +111,12 @@ def _calm(summaries: Sequence[BlockSummary], p: float, scale: float, constant: f
 
 def event_check(summaries: Sequence[BlockSummary], p: float, sigma_tilde: float, config: AdaptiveConfig) -> bool:
     """Stopping rule of the scan: dispersions are calm relative to ``sigma_tilde``."""
-    return _calm(summaries, p, sigma_tilde, config.threshold_constant, config.contamination_bound)
+    return _calm(summaries, p, sigma_tilde, THRESHOLD_CONSTANT, config.contamination_bound)
 
 
 def event_check_plain(summaries: Sequence[BlockSummary], p: float, sigma: float, config: AdaptiveConfig) -> bool:
     """The same rule against a known true scale, with the tighter constant."""
-    return _calm(summaries, p, sigma, config.plain_threshold_constant, config.contamination_bound)
+    return _calm(summaries, p, sigma, PLAIN_THRESHOLD_CONSTANT, config.contamination_bound)
 
 
 def adaptive_k(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -28,7 +27,9 @@ from .harness import (
     run_experiment,
 )
 
-_JOBS_HELP = "accepted for compatibility and validated (defaults to ROBUSTMEAN_JOBS or 1); runs are serial"
+_JOBS_HELP = "accepted for compatibility; must be at least 1 and selects nothing: runs are serial"
+# the EstimatorSpec field each `estimate` flag sets; a kind accepts only the flags of its fields
+_ESTIMATE_FLAGS = {"k": "--k", "p": "--p", "epsilon": "--epsilon", "contamination_bound": "--C"}
 _CHUNK_CHARS = 1 << 16  # characters read at a time; bounds the text held in memory
 _COMMENT = re.compile("#[^\n]*")
 
@@ -107,16 +108,8 @@ def _read_numbers(handle) -> np.ndarray:
 
 
 def _check_jobs(args) -> None:
-    """Validate ``--jobs`` or ROBUSTMEAN_JOBS; runs are serial, so the value selects nothing."""
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        raw = os.environ.get("ROBUSTMEAN_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigError([f"ROBUSTMEAN_JOBS: not an integer: {raw!r}"]) from None
-    if jobs < 1:
+    """Reject ``--jobs`` below 1; runs are serial, so the flag selects nothing else."""
+    if args.jobs < 1:
         raise ConfigError(["jobs: must be at least 1"])
 
 
@@ -129,16 +122,16 @@ def _kinds_reading(field: str) -> str:
 
 
 def _cmd_estimate(args) -> int:
-    if "k" in ESTIMATOR_FIELDS[args.estimator] and args.k is None:
-        raise ConfigError(["k: required for the blockwise estimators"])
+    fields = ESTIMATOR_FIELDS[args.estimator]
+    given = {name: getattr(args, name) for name in _ESTIMATE_FLAGS if getattr(args, name) is not None}
+    problems = [f"{_ESTIMATE_FLAGS[name]}: unknown flag for estimator {args.estimator!r}; read by {_kinds_reading(name)}"
+                for name in given if name not in fields]
+    if "k" in fields and "k" not in given:
+        problems.append("k: required for the blockwise estimators")
+    if problems:
+        raise ConfigError(problems)
     try:
-        spec = EstimatorSpec(
-            kind=args.estimator,
-            k=1 if args.k is None else args.k,
-            p=args.p,
-            epsilon=args.epsilon,
-            contamination_bound=args.contamination_bound,
-        )
+        spec = EstimatorSpec(kind=args.estimator, **given)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
     if args.input is None:
@@ -175,25 +168,25 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("input", nargs="?", default=None, help="input file; stdin when omitted. '#' starts a comment")
     est.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
     est.add_argument("--k", type=int, default=None, help=f"block count ({_kinds_reading('k')})")
-    est.add_argument("--p", type=float, default=2.0, help=f"weight exponent ({_kinds_reading('p')})")
-    est.add_argument("--epsilon", type=float, default=0.0,
-                     help=f"assumed contamination fraction ({_kinds_reading('epsilon')})")
-    est.add_argument("--C", dest="contamination_bound", type=float, default=0.5,
-                     help=f"assumed corrupted-block bound ({_kinds_reading('contamination_bound')})")
+    est.add_argument("--p", type=float, default=None, help=f"weight exponent, default 2 ({_kinds_reading('p')})")
+    est.add_argument("--epsilon", type=float, default=None,
+                     help=f"assumed contamination fraction, default 0 ({_kinds_reading('epsilon')})")
+    est.add_argument("--C", dest="contamination_bound", type=float, default=None,
+                     help=f"assumed corrupted-block bound, default 0.5 ({_kinds_reading('contamination_bound')})")
     est.set_defaults(run=_cmd_estimate)
 
     sim = sub.add_parser("simulate", help="run a JSON-configured experiment")
     sim.add_argument("--config", required=True, help="path to the JSON experiment description")
     sim.add_argument("--out", default=None, help="output path; stdout when omitted")
     sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sim.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
+    sim.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     sim.set_defaults(run=_cmd_simulate)
 
     fig = sub.add_parser("paper-figures", help="run the full benchmark grid")
     fig.add_argument("--reps", type=int, default=FIGURE_DEFAULT_REPLICATIONS)
     fig.add_argument("--out", default=None, help="output path; stdout when omitted")
     fig.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    fig.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
+    fig.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     fig.add_argument("--seed", type=int, default=FIGURE_DEFAULT_SEED)
     fig.set_defaults(run=_cmd_figures)
 

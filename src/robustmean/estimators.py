@@ -451,6 +451,14 @@ def median_of_means(summaries: Sequence[BlockSummary]) -> float:
     return float(np.median(_block_arrays(summaries).means))
 
 
+def _trim_cut(n: int, epsilon: float) -> int:
+    """How many values :func:`trimmed_mean` deletes from each side of ``n``; raises when that leaves nothing."""
+    cut = int(math.floor(epsilon * n)) + 5
+    if 2 * cut >= n:
+        raise ValueError(f"trimming {cut} values from each side of {n} leaves nothing")
+    return cut
+
+
 def trimmed_mean(sample: Sample, epsilon: float) -> float:
     """Mean after deleting the ``floor(epsilon*n) + 5`` smallest and largest values.
 
@@ -460,9 +468,7 @@ def trimmed_mean(sample: Sample, epsilon: float) -> float:
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 0.5)")
     x = sample.values
-    cut = int(math.floor(epsilon * x.size)) + 5
-    if 2 * cut >= x.size:
-        raise ValueError(f"trimming {cut} values from each side of {x.size} leaves nothing")
+    cut = _trim_cut(x.size, epsilon)
     return float(np.sort(x)[cut : x.size - cut].mean())
 
 

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adaptive import ROBUST_SIGMA_MIN_N
 from .datagen import DISTRIBUTION_FIELDS, ContaminationSpec, DistributionSpec, contaminate, sample
 from .estimators import (
     ESTIMATOR_FIELDS,
     BlockSummaries,
     EstimatorSpec,
+    _trim_cut,
     block_summaries,
     estimate,
     median_of_means,
@@ -167,12 +169,20 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         first = seen.setdefault(tuple(entry.items()), index)
         if first != index:
             problems.append(f"estimators[{index}]: repeats estimators[{first}] {entry}")
+        # sizes that would only fail partway through a run
+        if n_ok and est.kind == "adaptive" and spec.n < ROBUST_SIGMA_MIN_N:
+            problems.append(f"estimators[{index}]: adaptive needs N >= {ROBUST_SIGMA_MIN_N} for robust_sigma")
+        if n_ok and est.kind == "trimmed":
+            try:
+                _trim_cut(spec.n, est.epsilon)
+            except ValueError as exc:
+                problems.append(f"estimators[{index}]: {exc}")
     if n_ok and spec.contamination.count >= spec.n:
         problems.append("contamination.count: must be smaller than N")
     return problems
 
 
-def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentTable:
+def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     """Evaluate every (estimator, k) cell over shared replications, one after another.
 
     The grid supplies k, so the ``k`` field on each estimator spec is
@@ -180,14 +190,10 @@ def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentTabl
     same value in every k cell of their row group.  A replication builds
     the block summaries for a k only when a blockwise estimator or the
     adaptive scan reads them, and at most once: its cells share them.
-    ``parallelism`` is validated and otherwise unused: it is accepted for
-    compatibility, and runs are serial.
     """
     problems = validate_spec(spec)
     if problems:
         raise ConfigError(problems)
-    if parallelism < 1:
-        raise ConfigError(["parallelism: must be at least 1"])
 
     errors = np.empty((spec.replications, len(spec.estimators), len(spec.k_grid)))
     true_mean = spec.distribution.true_mean
@@ -232,17 +238,12 @@ def run_experiment(spec: ExperimentSpec, parallelism: int = 1) -> ExperimentTabl
     return ExperimentTable(tuple(sorted(rows, key=_row_key)))
 
 
-def figure_grid_table(
-    replications: int = FIGURE_DEFAULT_REPLICATIONS,
-    base_seed: int = FIGURE_DEFAULT_SEED,
-    parallelism: int = 1,
-) -> ExperimentTable:
+def figure_grid_table(replications: int = FIGURE_DEFAULT_REPLICATIONS, base_seed: int = FIGURE_DEFAULT_SEED) -> ExperimentTable:
     """The full benchmark grid: four contamination levels by eight block counts.
 
     Median-of-means, the weighted estimator at p=1 and p=2, and the
     trimmed oracle (epsilon = O/N) on the standardised half-t(4) family
-    at N=2500.  ``parallelism`` is passed to :func:`run_experiment`,
-    which validates it and runs serially.
+    at N=2500.
     """
     rows: list[ResultRow] = []
     dist = DistributionSpec.half_t(4.0)
@@ -262,7 +263,7 @@ def figure_grid_table(
             replications=replications,
             base_seed=base_seed,
         )
-        rows.extend(run_experiment(spec, parallelism).rows)
+        rows.extend(run_experiment(spec).rows)
     return ExperimentTable(tuple(sorted(rows, key=_row_key)))
 
 

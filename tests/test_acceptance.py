@@ -116,7 +116,7 @@ def test_criterion_4a_clean_halft_accuracy_across_the_grid():
         replications=200,
         base_seed=99,
     )
-    table = run_experiment(spec, parallelism=4)
+    table = run_experiment(spec)
     bad = []
     for kind, p in (("weighted", 1.0), ("weighted", 2.0), ("mom", None), ("trimmed", None)):
         for k in spec.k_grid:
@@ -142,7 +142,7 @@ def test_criterion_4b_weighted_beats_mom_when_outliers_match_blocks():
         replications=200,
         base_seed=99,
     )
-    table = run_experiment(spec, parallelism=4)
+    table = run_experiment(spec)
     w2 = table.metrics("weighted", k=175, p=2.0).mean_abs_error
     mom = table.metrics("mom", k=175).mean_abs_error
     ok = w2 <= 0.3 and mom >= 5 * w2

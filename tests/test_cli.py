@@ -1,4 +1,4 @@
-"""Command line behavior: subcommands, exit codes, stdin, env defaults."""
+"""Command line behavior: subcommands, exit codes, stdin, flags a kind does not read."""
 
 import io
 import json
@@ -55,6 +55,25 @@ def test_estimate_requires_k_for_blockwise(tmp_path, capsys):
     src = write_numbers(tmp_path / "x.txt", [1.0, 2.0])
     assert main(["estimate", src, "--estimator", "mom"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, flag, value, readers",
+    [
+        ("mom", "--p", "1", "weighted, adaptive"),
+        ("trimmed", "--k", "3", "weighted, mom"),
+        ("adaptive", "--k", "3", "weighted, mom"),
+        ("weighted", "--epsilon", "0.1", "trimmed"),
+        ("mom", "--C", "0.5", "adaptive"),
+    ],
+)
+def test_estimate_rejects_a_flag_its_kind_does_not_read(tmp_path, capsys, kind, flag, value, readers):
+    src = write_numbers(tmp_path / "x.txt", range(500))
+    k = ["--k", "5"] if kind in ("weighted", "mom") else []
+    assert main(["estimate", src, "--estimator", kind, *k, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {flag}: unknown flag for estimator {kind!r}; read by {readers}\n"
 
 
 def test_estimate_rejects_bad_exponent(tmp_path, capsys):
@@ -307,31 +326,56 @@ def test_simulate_invalid_json_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "n, estimator, message",
+    [
+        (300, {"kind": "adaptive", "p": 2.0}, "estimators[1]: adaptive needs N >= 400 for robust_sigma"),
+        (10, {"kind": "trimmed", "epsilon": 0.0}, "estimators[1]: trimming 5 values from each side of 10 leaves nothing"),
+    ],
+)
+def test_simulate_rejects_a_size_that_would_fail_partway(tmp_path, capsys, monkeypatch, n, estimator, message):
+    import robustmean.harness
+
+    def no_draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(robustmean.harness, "sample", no_draw)
+    payload = dict(GOOD_CONFIG, N=n, contamination={"count": 0}, k_grid=[2], estimators=[{"kind": "mom"}, estimator])
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_simulate_missing_config_is_runtime_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "ghost.json")]) == 1
     assert "error" in capsys.readouterr().err
 
 
-def test_jobs_env_variable_is_default(tmp_path, monkeypatch):
+@pytest.mark.parametrize("value", ["0", "many"])
+def test_jobs_env_variable_is_ignored(tmp_path, monkeypatch, capsys, value):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(GOOD_CONFIG))
-    out_env, out_flag = tmp_path / "env.csv", tmp_path / "flag.csv"
-    monkeypatch.setenv("ROBUSTMEAN_JOBS", "3")
-    assert main(["simulate", "--config", str(cfg), "--out", str(out_env)]) == 0
-    monkeypatch.delenv("ROBUSTMEAN_JOBS")
-    assert main(["simulate", "--config", str(cfg), "--out", str(out_flag), "--jobs", "3"]) == 0
-    assert out_env.read_bytes() == out_flag.read_bytes()
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setenv("ROBUSTMEAN_JOBS", value)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr() == plain
 
 
-def test_jobs_env_variable_must_be_a_positive_integer(tmp_path, monkeypatch, capsys):
+def test_jobs_below_one_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(GOOD_CONFIG))
-    monkeypatch.setenv("ROBUSTMEAN_JOBS", "many")
-    assert main(["simulate", "--config", str(cfg)]) == 2
-    monkeypatch.setenv("ROBUSTMEAN_JOBS", "0")
-    assert main(["simulate", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "ROBUSTMEAN_JOBS" in err and "jobs" in err
+    assert main(["simulate", "--config", str(cfg), "--jobs", "0"]) == 2
+    assert main(["paper-figures", "--reps", "1", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.count("config error: jobs: must be at least 1") == 2
+
+
+def test_paper_figures_ignores_jobs(tmp_path):
+    plain, jobs = tmp_path / "plain.csv", tmp_path / "jobs.csv"
+    assert main(["paper-figures", "--reps", "2", "--out", str(plain)]) == 0
+    assert main(["paper-figures", "--reps", "2", "--jobs", "2", "--out", str(jobs)]) == 0
+    assert plain.read_bytes() == jobs.read_bytes()
 
 
 def test_paper_figures_small_grid(tmp_path):

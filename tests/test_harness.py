@@ -1,6 +1,5 @@
 """Experiment engine: validation, determinism, aggregation, emission, config."""
 
-import io
 import itertools
 import json
 import math
@@ -111,6 +110,22 @@ def test_validate_spec_flags_repeated_grid_entries():
     assert problems == ["k_grid: k=5 repeated", "estimators[2]: repeats estimators[0] {'kind': 'weighted', 'p': 2.0}"]
 
 
+def test_validate_spec_flags_sizes_that_fail_partway():
+    def problems(n, estimators=ALL_KINDS):
+        return validate_spec(small_spec(n=n, contamination=ContaminationSpec(0), k_grid=(2,), estimators=estimators))
+
+    assert problems(400) == problems(11, (EstimatorSpec("trimmed"),)) == []
+    assert problems(399) == ["estimators[4]: adaptive needs N >= 400 for robust_sigma"]
+    assert problems(10) == [
+        "estimators[3]: trimming 5 values from each side of 10 leaves nothing",
+        "estimators[4]: adaptive needs N >= 400 for robust_sigma",
+    ]
+    # the cut grows with epsilon, as in trimmed_mean
+    assert problems(500, (EstimatorSpec("trimmed", epsilon=0.49),)) == [
+        "estimators[0]: trimming 250 values from each side of 500 leaves nothing"
+    ]
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -125,11 +140,9 @@ def test_validate_spec_flags_booleans_as_integers(overrides, message):
     assert validate_spec(small_spec(**overrides)) == [message]
 
 
-def test_run_experiment_rejects_bad_spec_and_parallelism():
+def test_run_experiment_rejects_bad_spec():
     with pytest.raises(ConfigError):
         run_experiment(small_spec(k_grid=(0,)))
-    with pytest.raises(ConfigError):
-        run_experiment(small_spec(), parallelism=0)
 
 
 # ---------------------------------------------------------------- execution
@@ -281,14 +294,6 @@ def test_a_replication_builds_each_block_count_once_across_cells(monkeypatch, es
         assert {k for builder, k in builds if builder == "scan"} >= {4, 8}
         if estimators is WEIGHTED_FIRST:
             assert builds[:2] == [("harness", 2), ("harness", 32)]
-
-
-def test_parallelism_is_byte_identical():
-    spec = small_spec(replications=16)
-    serial, threaded = io.StringIO(), io.StringIO()
-    emit_results(run_experiment(spec, parallelism=1), "csv", serial)
-    emit_results(run_experiment(spec, parallelism=4), "csv", threaded)
-    assert serial.getvalue() == threaded.getvalue()
 
 
 def test_seed_isolation_changes_errors_not_structure():
