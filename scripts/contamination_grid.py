@@ -1,24 +1,19 @@
 #!/usr/bin/env python3
-"""Desk-scale contamination study.
+"""Mean-absolute-error pivots of a paper-figures CSV.
 
-Runs the full benchmark grid (four outlier counts by eight block counts,
-standardised half-t(4) inliers, point mass at 1000) and prints one
-mean-absolute-error pivot per contamination level.  Optionally dumps the
-raw table in the same CSV layout the CLI emits.
+Reads the CSV that ``robustmean paper-figures`` writes (outlier counts by
+block counts, standardised half-t(4) inliers, point mass at 1000) from a
+path, or from stdin when none is given, and prints one mean-absolute-error
+pivot per contamination level.
 
 Example:
-    python3 scripts/contamination_grid.py --reps 200 --out grid.csv
+    robustmean paper-figures --reps 200 --out grid.csv
+    python3 scripts/contamination_grid.py grid.csv
 """
 
 import argparse
-
-from robustmean import (
-    FIGURE_DEFAULT_SEED,
-    FIGURE_K_GRID,
-    FIGURE_OUTLIER_GRID,
-    emit_results,
-    figure_grid_table,
-)
+import csv
+import sys
 
 COLUMNS = (("mom", None), ("weighted", 1.0), ("weighted", 2.0), ("trimmed", None))
 
@@ -29,23 +24,24 @@ def label(kind: str, p: float | None) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=FIGURE_DEFAULT_SEED)
-    parser.add_argument("--out", help="also write the raw grid as CSV")
+    parser.add_argument("csv", nargs="?", default=None, help="paper-figures CSV; stdin when omitted")
     args = parser.parse_args()
 
-    table = figure_grid_table(args.reps, args.seed)
+    if args.csv is None:
+        rows = list(csv.DictReader(sys.stdin))
+    else:
+        with open(args.csv, newline="", encoding="ascii") as handle:
+            rows = list(csv.DictReader(handle))
+    cells = {(r["estimator"], float(r["p"]) if r["p"] else None, int(r["k"]), int(r["O"])): r for r in rows}
     header = "  k " + "".join(f"{label(kind, p):>16}" for kind, p in COLUMNS)
-    for count in FIGURE_OUTLIER_GRID:
-        print(f"\nO={count} outliers, mean absolute error over {args.reps} reps")
+    for count in sorted({key[3] for key in cells}):
+        table = {key: row for key, row in cells.items() if key[3] == count}
+        reps = next(iter(table.values()))["replications"]
+        print(f"\nO={count} outliers, mean absolute error over {reps} reps")
         print(header)
-        for k in FIGURE_K_GRID:
-            cells = (table.metrics(kind, k=k, outliers=count, p=p) for kind, p in COLUMNS)
-            print(f"{k:>4}" + "".join(f"{m.mean_abs_error:>16.5f}" for m in cells))
-
-    if args.out:
-        emit_results(table, "csv", args.out)
-        print(f"\nwrote {args.out}")
+        for k in sorted({key[2] for key in table}):
+            errors = (float(table[kind, p, k, count]["mean_abs_error"]) for kind, p in COLUMNS)
+            print(f"{k:>4}" + "".join(f"{error:>16.5f}" for error in errors))
     return 0
 
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
+    ESTIMATOR_FIELDS,
     BlockSummaries,
     BlockSummary,
     Sample,
     _inverse_power_ratios,
     block_summaries,
+    check_fields,
     partition,
-    require_finite,
     weighted_mean,
 )
 
@@ -43,11 +44,7 @@ class AdaptiveConfig:
     contamination_bound: float = 0.5
 
     def __post_init__(self):
-        require_finite(self, ("p", "contamination_bound"))
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if not 0.0 < self.contamination_bound < 1.0:
-            raise ValueError("contamination_bound must lie in (0, 1)")
+        check_fields(self, ESTIMATOR_FIELDS["adaptive"])
 
 
 # |X - X'| of two independent N(0, sigma^2) draws has median

@@ -28,6 +28,7 @@ from .harness import (
 )
 
 _JOBS_HELP = "accepted for compatibility; must be at least 1 and selects nothing: runs are serial"
+_JOBS_PROBLEM = "jobs: must be at least 1"
 # the EstimatorSpec field each `estimate` flag sets; a kind accepts only the flags of its fields
 _ESTIMATE_FLAGS = {"k": "--k", "p": "--p", "epsilon": "--epsilon", "contamination_bound": "--C"}
 _CHUNK_CHARS = 1 << 16  # characters read at a time; bounds the text held in memory
@@ -107,12 +108,6 @@ def _read_numbers(handle) -> np.ndarray:
     return numbers
 
 
-def _check_jobs(args) -> None:
-    """Reject ``--jobs`` below 1; runs are serial, so the flag selects nothing else."""
-    if args.jobs < 1:
-        raise ConfigError(["jobs: must be at least 1"])
-
-
 def _emit(table, args) -> None:
     emit_results(table, args.format, sys.stdout if args.out is None else args.out)
 
@@ -128,12 +123,12 @@ def _cmd_estimate(args) -> int:
                 for name in given if name not in fields]
     if "k" in fields and "k" not in given:
         problems.append("k: required for the blockwise estimators")
+    try:
+        spec = EstimatorSpec(kind=args.estimator, **{name: given[name] for name in given if name in fields})
+    except ValueError as exc:
+        problems.append(str(exc))
     if problems:
         raise ConfigError(problems)
-    try:
-        spec = EstimatorSpec(kind=args.estimator, **given)
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from None
     if args.input is None:
         values = _read_numbers(sys.stdin)
     else:
@@ -144,15 +139,23 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _check_jobs(args)
-    _emit(run_experiment(parse_config(Path(args.config).read_text(encoding="utf-8"))), args)
+    problems = [_JOBS_PROBLEM] if args.jobs < 1 else []
+    try:
+        spec = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    except ConfigError as exc:
+        problems += exc.errors
+    if problems:
+        raise ConfigError(problems)
+    _emit(run_experiment(spec), args)
     return 0
 
 
 def _cmd_figures(args) -> int:
-    _check_jobs(args)
+    problems = [_JOBS_PROBLEM] if args.jobs < 1 else []
     if args.reps < 1:
-        raise ConfigError(["reps: must be at least 1"])
+        problems.append("reps: must be at least 1")
+    if problems:
+        raise ConfigError(problems)
     _emit(figure_grid_table(replications=args.reps, base_seed=args.seed), args)
     return 0
 

@@ -38,6 +38,17 @@ def require_finite(spec, fields) -> None:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def check_fields(spec, fields) -> None:
+    """Raise ValueError for the first of ``fields`` on ``spec`` that is not finite, else the first out of its range."""
+    require_finite(spec, fields)
+    if "p" in fields and spec.p < 1:
+        raise ValueError("p must be >= 1")
+    if "epsilon" in fields and not 0.0 <= spec.epsilon < 0.5:
+        raise ValueError("epsilon must lie in [0, 0.5)")
+    if "contamination_bound" in fields and not 0.0 < spec.contamination_bound < 1.0:
+        raise ValueError("contamination_bound must lie in (0, 1)")
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Observation vector plus an optional record of planted corruption.
@@ -135,14 +146,7 @@ class EstimatorSpec:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
             raise ValueError("k must be a positive integer")
-        fields = ESTIMATOR_FIELDS[self.kind]
-        require_finite(self, fields)
-        if "p" in fields and self.p < 1:
-            raise ValueError("p must be >= 1")
-        if "epsilon" in fields and not 0.0 <= self.epsilon < 0.5:
-            raise ValueError("epsilon must lie in [0, 0.5)")
-        if "contamination_bound" in fields and not 0.0 < self.contamination_bound < 1.0:
-            raise ValueError("contamination_bound must lie in (0, 1)")
+        check_fields(self, ESTIMATOR_FIELDS[self.kind])
 
 
 def partition(n: int, k: int) -> BlockPartition:
@@ -224,11 +228,6 @@ def _gap_below(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rows whose largest |value| lies outside this range go to math.fsum, so the
-# extraction constants below neither overflow nor underflow.
-_EXTRACT_RANGE = (2.0**-900, 2.0**900)
-
-
 def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's sum rounded once, as ``math.fsum`` gives it, and whether that is certified.
 
@@ -246,12 +245,10 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     ``total`` is one rounding of the exact sum, or when the leftover plus
     ``bound`` is under half the gap from ``total`` to its nearer
     neighbour.  Uncertified rows must be summed by ``math.fsum``.
+
+    Every ``amax`` must lie in [2**-900, 2**900), where ``sigma`` neither
+    overflows nor underflows; see :data:`_ROW_RANGE`.
     """
-    huge = amax >= _EXTRACT_RANGE[1]
-    if huge.any():
-        # zeros keep the passes below finite; these rows stay uncertified
-        x = np.where(np.repeat(huge, sizes), 0.0, x)
-        amax = np.where(huge, 0.0, amax)
     m = int(sizes.max() + 1).bit_length()
     sigma = np.repeat(np.ldexp(1.0, np.frexp(amax)[1] + m), sizes)
     high = sigma + x
@@ -264,10 +261,9 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     high -= sigma
     rest -= high
     second = np.add.reduceat(high, starts)
-    in_range = amax >= _EXTRACT_RANGE[0]
     if not rest.any():
         # the two passes took every value whole: the residual clause for every row at once
-        return first + second, in_range
+        return first + second, np.ones(starts.size, dtype=bool)
     residual = np.add.reduceat(rest, starts)
     bound = np.add.reduceat(np.abs(rest, out=rest), starts) * (sizes * 2.0**-51)
     head, tail = _two_sum(first, second)
@@ -277,8 +273,7 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     half_gap = _gap_below(np.abs(total), np.empty_like(total))
     half_gap *= 0.5 - 2.0**-51
     exact = (bound == 0.0) & (tail_error == 0.0)
-    certified = exact | (np.abs(head_error + tail_error) + bound < half_gap)
-    return total, certified & in_range
+    return total, exact | (np.abs(head_error + tail_error) + bound < half_gap)
 
 
 # 2**27 + 1 splits a double into two halves whose products are exact (Dekker).
@@ -291,36 +286,35 @@ _SPLIT = 134217729.0
 # documented guarantee.  On 10**6 squares between 1e-200 and 1e200 the 854
 # values where pow and d * d differ all lay within 0.005 ulp of a midpoint.
 _POW_MARGIN = 0.05
-# |d| in this range keeps d * d and Dekker's products clear of overflow and underflow.
-_SQUARE_RANGE = (2.0**-450, 2.0**450)
+# |d| below this, possible in any row, could underflow in d * d or Dekker's products.
+_SQUARE_MIN = 2.0**-450
 
 
 def _pow_squares(d: np.ndarray) -> np.ndarray:
     """``v ** 2`` for every v in ``d``, bit for bit as Python's float pow rounds it.
 
     Python's ``**`` calls libm ``pow``, which is not correctly rounded,
-    so a square near a rounding midpoint, or outside
-    :data:`_SQUARE_RANGE`, is recomputed by ``**`` itself; that also
-    raises the same ``OverflowError`` on huge values.
+    so a square near a rounding midpoint, or with |v| below
+    :data:`_SQUARE_MIN`, is recomputed by ``**`` itself.  Every |v| must
+    be below 2**450, so that no product overflows; :func:`_rows_stats`
+    keeps its deviations below 2**449.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Dekker's split hi + lo == d into halves whose products are exact,
-        # written in place: the working set is four arrays besides d
-        hi = d * _SPLIT
-        lo = hi - d
-        hi -= lo
-        np.subtract(d, hi, out=lo)
-        square = d * d
-        error = hi * hi
-        error -= square
-        hi *= lo
-        hi += hi
-        error += hi
-        lo *= lo
-        error += lo  # d*d - square, exactly
+    # Dekker's split hi + lo == d into halves whose products are exact,
+    # written in place: the working set is four arrays besides d
+    hi = d * _SPLIT
+    lo = hi - d
+    hi -= lo
+    np.subtract(d, hi, out=lo)
+    square = d * d
+    error = hi * hi
+    error -= square
+    hi *= lo
+    hi += hi
+    error += hi
+    lo *= lo
+    error += lo  # d*d - square, exactly
     mag = np.abs(d, out=hi)
-    redo = mag > _SQUARE_RANGE[1]
-    redo |= (mag < _SQUARE_RANGE[0]) & (mag != 0.0)
+    redo = (mag < _SQUARE_MIN) & (mag != 0.0)
     gap = _gap_below(square, out=lo)
     gap *= 0.5 - _POW_MARGIN
     redo |= np.abs(error, out=error) > gap
@@ -329,36 +323,39 @@ def _pow_squares(d: np.ndarray) -> np.ndarray:
     return square
 
 
-# A run whose largest |value| reaches this goes wholly through the per-block
-# loop: a deviation, at most twice that value, could overflow when squared,
-# and the loop raises that OverflowError, or fsum's, in block order.
-_ENGINE_MAX = 2.0**500
+# A block that is not constant takes the array path when its largest |value|
+# A lies in this range; every other one runs _fsum_stats.  With A < 2**448
+# every |d| = |v - mean| is at most 2A < 2**449, so every square is below
+# 2**898.  Two distinct doubles of magnitude at most A differ by at least
+# 2**-53 A, so with A >= 2**-390 the largest |d| around any mean is at
+# least 2**-55 A and the largest square at least 2**-890.  Both
+# _exact_sums calls therefore see row maxima inside [2**-900, 2**900).
+_ROW_RANGE = (2.0**-390, 2.0**448)
 
 
 def _rows_stats(x: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.ndarray) -> None:
-    """Write the mean and sd of each of the consecutive blocks of ``sizes`` covering ``x``."""
+    """Write the mean and sd of each of the consecutive blocks of ``sizes`` covering ``x``; ``sds`` start at 0."""
     starts = np.cumsum(sizes) - sizes
     low = np.minimum.reduceat(x, starts)
     high = np.maximum.reduceat(x, starts)
     amax = np.maximum(high, -low)
     constant = low == high
-    sds.fill(0.0)
-    certified = np.zeros(sizes.size, dtype=bool)
-    if amax.max() < _ENGINE_MAX:
-        sums, certified = _exact_sums(x, starts, sizes, amax)
-        np.divide(sums, sizes, out=means)
-        spread = certified & ~constant
-        if spread.any():
-            y, row_sizes = x, sizes
-            if not spread.all():
-                y, row_sizes = x[np.repeat(spread, sizes)], sizes[spread]
-            row_starts = np.cumsum(row_sizes) - row_sizes
-            squares = _pow_squares(y - np.repeat(means[spread], row_sizes))
-            square_sums, square_certified = _exact_sums(squares, row_starts, row_sizes, np.maximum.reduceat(squares, row_starts))
-            sds[spread] = np.sqrt(square_sums / row_sizes)
-            certified[spread] = square_certified
     means[constant] = x[starts[constant]]
-    for j in np.flatnonzero(~certified & ~constant):
+    rows = ~constant & (amax >= _ROW_RANGE[0]) & (amax < _ROW_RANGE[1])
+    fallback = ~constant & ~rows
+    if rows.any():
+        y, row_sizes = x, sizes
+        if not rows.all():
+            y, row_sizes = x[np.repeat(rows, sizes)], sizes[rows]
+        row_starts = np.cumsum(row_sizes) - row_sizes
+        sums, certified = _exact_sums(y, row_starts, row_sizes, amax[rows])
+        row_means = sums / row_sizes
+        squares = _pow_squares(y - np.repeat(row_means, row_sizes))
+        square_sums, square_certified = _exact_sums(squares, row_starts, row_sizes, np.maximum.reduceat(squares, row_starts))
+        means[rows] = row_means
+        sds[rows] = np.sqrt(square_sums / row_sizes)
+        fallback[rows] = ~(certified & square_certified)
+    for j in np.flatnonzero(fallback):
         means[j], sds[j] = _fsum_stats(x[starts[j] : starts[j] + sizes[j]])
 
 
@@ -373,16 +370,17 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
     Sums are exactly rounded (``math.fsum``'s results), so the summaries
     do not depend on the order of values within a block and a
     single-block mean is the correctly rounded sample mean.  A constant
-    block reports its value and sd 0 without any rounding.  The other
-    blocks go through :func:`_exact_sums` and :func:`_pow_squares` over
-    the flat array; a block whose sum or sum of squares is not certified
+    block reports its value and sd 0 without any rounding.  A block whose
+    largest |value| lies in :data:`_ROW_RANGE` goes through
+    :func:`_exact_sums` and :func:`_pow_squares` over the flat array; a
+    block outside it, or whose sum or sum of squares is not certified,
     runs :func:`_fsum_stats` instead.
     """
     values = sample.values
     if part.n != values.size:
         raise ValueError("partition does not cover this sample")
     bounds, sizes = part.boundaries, part.sizes
-    means, sds = np.empty(part.k), np.empty(part.k)
+    means, sds = np.empty(part.k), np.zeros(part.k)
     # a run starts at each block that starts in a new window of _RUN_VALUES
     firsts = np.flatnonzero(np.diff(bounds[:-1] // _RUN_VALUES, prepend=-1)).tolist()
     for a, b in zip(firsts, firsts[1:] + [part.k]):

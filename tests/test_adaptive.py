@@ -14,6 +14,7 @@ from robustmean import (
     BlockSummary,
     ContaminationSpec,
     DistributionSpec,
+    EstimatorSpec,
     Sample,
     adaptive_estimate,
     adaptive_k,
@@ -286,6 +287,17 @@ def test_adaptive_config_validation():
         AdaptiveConfig(p=0.5)
     with pytest.raises(ValueError):
         AdaptiveConfig(contamination_bound=1.5)
+
+
+@pytest.mark.parametrize(
+    "knobs", [{"p": 0.5}, {"contamination_bound": 1.0}, {"p": 0.5, "contamination_bound": 0.0}, {"p": True}]
+)
+def test_adaptive_config_and_its_estimator_spec_reject_alike(knobs):
+    with pytest.raises(ValueError) as config:
+        AdaptiveConfig(**knobs)
+    with pytest.raises(ValueError) as spec:
+        EstimatorSpec("adaptive", **knobs)
+    assert str(config.value) == str(spec.value)
 
 
 @pytest.mark.parametrize("field", ["p", "contamination_bound"])

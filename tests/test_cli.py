@@ -82,6 +82,24 @@ def test_estimate_rejects_bad_exponent(tmp_path, capsys):
     assert "p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, problems",
+    [
+        (["--k", "2", "--p", "0.5", "--C", "0.3"],
+         ["--C: unknown flag for estimator 'weighted'; read by adaptive", "p must be >= 1"]),
+        (["--p", "0.5", "--epsilon", "0.1"],
+         ["--epsilon: unknown flag for estimator 'weighted'; read by trimmed",
+          "k: required for the blockwise estimators", "p must be >= 1"]),
+    ],
+)
+def test_estimate_reports_every_flag_problem_at_once(tmp_path, capsys, flags, problems):
+    src = write_numbers(tmp_path / "x.txt", [1.0, 2.0, 3.0, 4.0])
+    assert main(["estimate", src, "--estimator", "weighted", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"config error: {problem}\n" for problem in problems)
+
+
 def test_estimate_bad_token_reports_line(tmp_path, capsys):
     src = tmp_path / "bad.txt"
     src.write_text("1\n2\nthree\n")
@@ -369,6 +387,17 @@ def test_jobs_below_one_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--jobs", "0"]) == 2
     assert main(["paper-figures", "--reps", "1", "--jobs", "0"]) == 2
     assert capsys.readouterr().err.count("config error: jobs: must be at least 1") == 2
+
+
+def test_jobs_problem_is_reported_with_the_other_config_problems(tmp_path, capsys):
+    assert main(["paper-figures", "--jobs", "0", "--reps", "0"]) == 2
+    assert capsys.readouterr().err == "config error: jobs: must be at least 1\nconfig error: reps: must be at least 1\n"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(GOOD_CONFIG, k_grid=[2, 10_000], replications=0)))
+    assert main(["simulate", "--config", str(cfg), "--jobs", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "config error: jobs: must be at least 1"
+    assert any("k_grid" in line for line in err) and any("replications" in line for line in err)
 
 
 def test_paper_figures_ignores_jobs(tmp_path):

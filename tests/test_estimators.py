@@ -21,6 +21,7 @@ from robustmean import (
     trimmed_mean,
     weighted_mean,
 )
+import robustmean.estimators
 from robustmean.estimators import _exact_sums, _pow_squares
 
 
@@ -218,6 +219,39 @@ def test_huge_values_raise_the_fsum_loops_overflow_error(values, k):
     with pytest.raises(OverflowError) as got:
         block_summaries(Sample(x), part)
     assert got.value.args == want.value.args
+
+
+def test_one_out_of_range_block_alone_runs_the_fsum_loop(monkeypatch):
+    # 2**505 is above the array path's range, so its block runs the fsum
+    # loop; the other 127 blocks of its run of 8192 values stay on the arrays
+    x = np.random.default_rng(505).standard_normal(16384)
+    x[5000] = 2.0**505
+    part = partition(x.size, 256)
+    fsum_stats = robustmean.estimators._fsum_stats
+    calls = []
+    monkeypatch.setattr(robustmean.estimators, "_fsum_stats", lambda block: calls.append(block.size) or fsum_stats(block))
+    got = block_summaries(Sample(x), part)
+    want_means, want_sds = oracle_block_stats(x, part)
+    assert bits(got.means) == bits(want_means)
+    assert bits(got.sds) == bits(want_sds)
+    assert calls == [64]
+
+
+@pytest.mark.parametrize("exponent", [-392, -391, -390, -389, -388, -302, -300, -298, 446, 447, 448, 449, 450])
+def test_blocks_at_the_edges_of_the_array_path_equal_the_fsum_loop(exponent):
+    top = 2.0**exponent
+    rows = [np.random.default_rng(exponent % 997 + j).uniform(-1.0, 1.0, 8) * top for j in range(5)]
+    rows[0][3] = top  # largest |value| exactly 2**exponent
+    rows[1][5] = -np.nextafter(top, 0.0)  # just below it
+    rows[2][:] = np.nextafter(top, math.inf)  # a constant block
+    rows[3][::2], rows[3][1::2] = top, np.nextafter(top, 0.0)  # the least spread a block can have
+    # the last deviation of this row is below 2**-450, so pow recomputes its square
+    x = np.concatenate([*rows, [2.0**-200, -(2.0**-200), 2.0**-1000]])
+    for part in (BlockPartition(np.array([0, 8, 16, 24, 32, 40, 43])), partition(x.size, 1), partition(x.size, 6)):
+        got = block_summaries(Sample(x), part)
+        want_means, want_sds = oracle_block_stats(x, part)
+        assert bits(got.means) == bits(want_means)
+        assert bits(got.sds) == bits(want_sds)
 
 
 # ------------------------------------------------------------ weighted mean
