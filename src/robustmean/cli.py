@@ -3,20 +3,22 @@
 Three subcommands: ``estimate`` runs one estimator over numbers from a
 file or stdin, ``simulate`` runs a JSON-described experiment, and
 ``paper-figures`` runs the full benchmark grid.  Exit codes: 0 success,
-2 configuration error, 1 runtime failure.
+2 configuration error, 1 runtime failure, 141 (128 + SIGPIPE) when the
+reader of stdout has closed it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .estimators import ESTIMATOR_FIELDS, ESTIMATOR_KINDS, EstimatorSpec, Sample, estimate
+from .estimators import ESTIMATOR_FIELDS, EstimatorSpec, Sample, estimate
 from .harness import (
     FIGURE_DEFAULT_REPLICATIONS,
     FIGURE_DEFAULT_SEED,
@@ -27,11 +29,10 @@ from .harness import (
     run_experiment,
 )
 
-_JOBS_HELP = "accepted for compatibility; must be at least 1 and selects nothing: runs are serial"
 _JOBS_PROBLEM = "jobs: must be at least 1"
 # the EstimatorSpec field each `estimate` flag sets; a kind accepts only the flags of its fields
 _ESTIMATE_FLAGS = {"k": "--k", "p": "--p", "epsilon": "--epsilon", "contamination_bound": "--C"}
-_CHUNK_CHARS = 1 << 16  # characters read at a time; bounds the text held in memory
+_CHUNK_CHARS = 1 << 16  # characters read at a time, then the rest of their last line
 _COMMENT = re.compile("#[^\n]*")
 
 
@@ -69,19 +70,16 @@ def _read_numbers(handle) -> np.ndarray:
     chunks = []
     non_finite = None
     lineno = 1  # of the first line of the next chunk
-    carry = []  # pieces of a line that no read has finished yet
     at_end = False
     while not at_end:
-        read = handle.read(_CHUNK_CHARS)
-        # a text stream returns less than asked only at its end; reading on
-        # would make a terminal wait for a second end-of-input
-        at_end = len(read) < _CHUNK_CHARS
-        cut = len(read) if at_end else read.rfind("\n") + 1
-        if not cut and not at_end:
-            carry.append(read)
-            continue
-        text = "".join(carry) + read[:cut]
-        carry = [read[cut:]]
+        text = handle.read(_CHUNK_CHARS)
+        # a stream returns a short read or a line without its newline only at
+        # its end; reading on would make a terminal wait for a second end-of-input
+        at_end = len(text) < _CHUNK_CHARS
+        if not at_end:
+            tail = handle.readline()
+            text += tail
+            at_end = not tail.endswith("\n")
         if "#" in text:
             text = _COMMENT.sub("", text)
         lines = text.split("\n")
@@ -169,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate the mean of newline-delimited numbers")
     est.add_argument("input", nargs="?", default=None, help="input file; stdin when omitted. '#' starts a comment")
-    est.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
+    est.add_argument("--estimator", required=True, choices=ESTIMATOR_FIELDS)
     est.add_argument("--k", type=int, default=None, help=f"block count ({_kinds_reading('k')})")
     est.add_argument("--p", type=float, default=None, help=f"weight exponent, default 2 ({_kinds_reading('p')})")
     est.add_argument("--epsilon", type=float, default=None,
@@ -178,18 +176,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"assumed corrupted-block bound, default 0.5 ({_kinds_reading('contamination_bound')})")
     est.set_defaults(run=_cmd_estimate)
 
-    sim = sub.add_parser("simulate", help="run a JSON-configured experiment")
+    table = argparse.ArgumentParser(add_help=False)  # options of the commands that print a results table
+    table.add_argument("--out", default=None, help="output path; stdout when omitted")
+    table.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    table.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; must be at least 1 and selects nothing: runs are serial")
+
+    sim = sub.add_parser("simulate", parents=[table], help="run a JSON-configured experiment")
     sim.add_argument("--config", required=True, help="path to the JSON experiment description")
-    sim.add_argument("--out", default=None, help="output path; stdout when omitted")
-    sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sim.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     sim.set_defaults(run=_cmd_simulate)
 
-    fig = sub.add_parser("paper-figures", help="run the full benchmark grid")
+    fig = sub.add_parser("paper-figures", parents=[table], help="run the full benchmark grid")
     fig.add_argument("--reps", type=int, default=FIGURE_DEFAULT_REPLICATIONS)
-    fig.add_argument("--out", default=None, help="output path; stdout when omitted")
-    fig.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    fig.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     fig.add_argument("--seed", type=int, default=FIGURE_DEFAULT_SEED)
     fig.set_defaults(run=_cmd_figures)
 
@@ -203,7 +201,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits itself on usage errors and --help
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        status = args.run(args)
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConfigError as exc:
         for problem in exc.errors:
             print(f"config error: {problem}", file=sys.stderr)

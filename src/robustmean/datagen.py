@@ -21,7 +21,6 @@ DISTRIBUTION_FIELDS = {
     "half_t": ("df",),
     "pareto": ("shape", "scale"),
 }
-DISTRIBUTION_KINDS = tuple(DISTRIBUTION_FIELDS)
 
 
 def abs_t_mean(df: float) -> float:

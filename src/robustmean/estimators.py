@@ -24,7 +24,6 @@ ESTIMATOR_FIELDS = {
     "trimmed": ("epsilon",),
     "adaptive": ("p", "contamination_bound"),
 }
-ESTIMATOR_KINDS = tuple(ESTIMATOR_FIELDS)
 
 
 def require_finite(spec, fields) -> None:

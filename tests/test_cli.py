@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +288,24 @@ def test_whitespace_only_lines_stay_off_the_line_loop(monkeypatch, blank):
     assert line_loop_calls == []
 
 
+@pytest.mark.parametrize(
+    "data, chunk_chars",
+    [
+        ("1.5\n2.5\n", 8),  # ends on a chunk boundary
+        ("1.5\n2.5\n3.25", 4),  # ends on a later chunk boundary, without a newline
+        ("1.5\n2.5\n3.25\n", 4),  # the last full chunk stops just before the final newline
+        ("1.5\n2.25", 4),  # ends mid-line right after a full chunk
+        ("1.5\n2.25", 6),
+        ("1\n" + " " * 20 + "3.5 # " + "c" * 20, 4),  # a last line several chunks long, no newline
+        ("1\n" + "2" * 30, 4),
+    ],
+    ids=["boundary", "boundary-open", "boundary-then-newline", "mid-line", "mid-line-6", "long-open", "long-number"],
+)
+def test_terminal_input_ending_near_a_chunk_boundary(monkeypatch, data, chunk_chars):
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
+    assert bits(cli._read_numbers(TerminalInput(data))) == bits(oracle_read_numbers(io.StringIO(data)))
+
+
 def test_estimate_empty_input_is_runtime_error(tmp_path, capsys):
     src = tmp_path / "empty.txt"
     src.write_text("# nothing\n")
@@ -295,6 +317,43 @@ def test_unknown_subcommand_and_flag_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["estimate", "--no-such-flag"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_unknown_estimator_error_line(capsys):
+    assert main(["estimate", "--estimator", "nope"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "robustmean estimate: error: argument --estimator: invalid choice: 'nope'"
+        " (choose from 'weighted', 'mom', 'trimmed', 'adaptive')"
+    )
+
+
+def run_cli_process(argv, **popen):
+    """``robustmean`` in a child process reading "1\\n2\\n" from stdin; its exit status and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "robustmean.cli", *argv], input=b"1\n2\n", stderr=subprocess.PIPE,
+                          env=env, timeout=120, **popen)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["estimate", "--estimator", "mom", "--k", "1"], ["paper-figures", "--reps", "2"]], ids=["estimate", "paper-figures"]
+)
+def test_closed_stdout_pipe_exits_141_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader before the child writes, so its first write fails
+    try:
+        assert run_cli_process(argv, stdout=write_end) == (141, b"")
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "argv", [["estimate", "--estimator", "mom", "--k", "1"], ["paper-figures", "--reps", "2", "--out", "grid.csv"]],
+    ids=["estimate", "paper-figures-out"],
+)
+def test_runs_with_stdout_closed(tmp_path, argv):
+    # Python sets sys.stdout to None when the process starts without file descriptor 1
+    assert run_cli_process(argv, cwd=tmp_path, preexec_fn=lambda: os.close(1)) == (0, b"")
 
 
 def test_help_exits_zero(capsys):
