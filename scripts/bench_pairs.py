@@ -10,7 +10,11 @@ to ``BENCH_<pr>.json`` at the top of this checkout.  The summary gives, for
 each metric, both sides' medians and quartiles, the change's wins and
 whether it counts as a gain: wins in at least nine tenths of the pairs, ties
 counting for neither, and medians further apart than the parent's
-interquartile range.  Standard library only.
+interquartile range.  Each end-to-end metric also gets a regression
+column: ``worse`` when the change's median is worse than the parent's by
+more than the metric's ``bound`` in BENCHMARK.json, else ``unresolved``
+when the parent's own interquartile range exceeds that bound, else ``ok``.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -52,15 +56,29 @@ def bench(tree: Path, bench_args: list[str]) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def benchmark_spec() -> dict:
+    """BENCHMARK.json, parsed."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def directions() -> dict[str, str]:
     """Metric name -> "higher" or "lower", as BENCHMARK.json declares it."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec = benchmark_spec()
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
-def better(key: str, table: dict[str, str]) -> str | None:
+def bounds() -> dict[str, float]:
+    """End-to-end metric name -> the worsening BENCHMARK.json tolerates, as a fraction of the parent's median."""
+    return {m["name"]: m["bound"] for m in benchmark_spec()["end_to_end"]}
+
+
+def metric_name(key: str, table: dict[str, str]) -> str:
     # with --workload all a key carries the workload's name in front
-    return table.get(key) or table.get(key.split(".", 1)[-1])
+    return key if key in table else key.split(".", 1)[-1]
+
+
+def better(key: str, table: dict[str, str]) -> str | None:
+    return table.get(metric_name(key, table))
 
 
 def spread(values: list[float]) -> tuple[float, float, float]:
@@ -85,26 +103,47 @@ def verdict(parent: list[float], change: list[float], direction: str) -> tuple[i
     return won, 10 * won >= 9 * len(parent) and sign * (cm - pm) > pq3 - pq1
 
 
+def regression(parent: list[float], change: list[float], direction: str, bound: float) -> str:
+    """"worse", "unresolved" or "ok": whether the change's median keeps within ``bound`` of the parent's.
+
+    ``bound`` is a fraction of the parent's median.  A change whose median
+    is worse by more than that is "worse".  Otherwise, when the parent's
+    interquartile range is wider than the bound, the runs cannot show a
+    worsening of that size, and the metric is "unresolved" unless every run
+    of the change reads better than every run of the parent.
+    """
+    sign = 1 if direction == "higher" else -1
+    (pm, pq1, pq3), (cm, _, _) = spread(parent), spread(change)
+    if sign * (pm - cm) > bound * abs(pm):
+        return "worse"
+    if pq3 - pq1 > bound * abs(pm) and not all(sign * (c - p) > 0 for c in change for p in parent):
+        return "unresolved"
+    return "ok"
+
+
 def summarise(pairs: list[dict]) -> None:
-    table = directions()
+    table, limits = directions(), bounds()
     for side in ("parent", "change"):
         failed = sum(p[side]["failed"] for p in pairs)
         attempted = sum(p[side]["attempted"] for p in pairs)
         print(f"{side}: {failed} of {attempted} calls failed")
     keys = [k for k in pairs[0]["parent"]["metrics"] if all(k in p[s]["metrics"] for p in pairs for s in ("parent", "change"))]
-    print(f"{'metric':44} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} {'ratio':>7} {'wins':>6}  gain")
+    print(f"{'metric':44} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} {'ratio':>7} {'wins':>6}  gain"
+          "  regression")
     for key in keys:
         parent = [p["parent"]["metrics"][key]["value"] for p in pairs]
         change = [p["change"]["metrics"][key]["value"] for p in pairs]
         (pm, pq1, pq3), (cm, cq1, cq3) = spread(parent), spread(change)
         ratio = f"{cm / pm:7.3f}" if pm else f"{'-':>7}"
-        direction = better(key, table)
+        direction, bound = better(key, table), limits.get(metric_name(key, table))
         if direction is None:
             wins, gain = "?", "?"
         else:
             won, gained = verdict(parent, change, direction)
             wins, gain = f"{won}/{len(pairs)}", "yes" if gained else "no"
-        print(f"{key:44} {pm:12.6g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.6g} [{cq1:8.4g}, {cq3:8.4g}] {ratio} {wins:>6}  {gain}")
+        regressed = "-" if direction is None or bound is None else regression(parent, change, direction, bound)
+        print(f"{key:44} {pm:12.6g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.6g} [{cq1:8.4g}, {cq3:8.4g}] {ratio} {wins:>6}  "
+              f"{gain:4}  {regressed}")
 
 
 def dumps(record: dict) -> str:

@@ -10,6 +10,7 @@ reader of stdout has closed it.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -158,7 +159,9 @@ def _cmd_figures(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared: callers parse with it and never change it."""
     parser = argparse.ArgumentParser(
         prog="robustmean",
         description="Blockwise robust mean estimation and its simulation harness.",

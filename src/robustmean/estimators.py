@@ -14,6 +14,7 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -294,9 +295,10 @@ def _pow_squares(d: np.ndarray) -> np.ndarray:
 
     Python's ``**`` calls libm ``pow``, which is not correctly rounded,
     so a square near a rounding midpoint, or with |v| below
-    :data:`_SQUARE_MIN`, is recomputed by ``**`` itself.  Every |v| must
-    be below 2**450, so that no product overflows; :func:`_rows_stats`
-    keeps its deviations below 2**449.
+    :data:`_SQUARE_MIN`, is recomputed by ``math.pow``, which calls the
+    same libm ``pow`` as ``**``.  Every |v| must be below 2**450, so that
+    no product overflows; :func:`_rows_stats` keeps its deviations below
+    2**449.
     """
     # Dekker's split hi + lo == d into halves whose products are exact,
     # written in place: the working set is four arrays besides d
@@ -318,7 +320,7 @@ def _pow_squares(d: np.ndarray) -> np.ndarray:
     gap *= 0.5 - _POW_MARGIN
     redo |= np.abs(error, out=error) > gap
     index = np.flatnonzero(redo)
-    square[index] = [v**2 for v in d[index].tolist()]
+    square[index] = np.fromiter(map(math.pow, d[index].tolist(), repeat(2.0)), np.float64, index.size)
     return square
 
 
@@ -332,21 +334,21 @@ def _pow_squares(d: np.ndarray) -> np.ndarray:
 _ROW_RANGE = (2.0**-390, 2.0**448)
 
 
-def _rows_stats(x: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.ndarray) -> None:
-    """Write the mean and sd of each of the consecutive blocks of ``sizes`` covering ``x``; ``sds`` start at 0."""
-    starts = np.cumsum(sizes) - sizes
+def _rows_stats(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.ndarray) -> None:
+    """Write the mean and sd of each block of ``x``: blocks at ``starts`` of ``sizes`` values, covering ``x``; ``sds`` start at 0."""
     low = np.minimum.reduceat(x, starts)
     high = np.maximum.reduceat(x, starts)
     amax = np.maximum(high, -low)
     constant = low == high
-    means[constant] = x[starts[constant]]
     rows = ~constant & (amax >= _ROW_RANGE[0]) & (amax < _ROW_RANGE[1])
+    if constant.any():
+        means[constant] = x[starts[constant]]
     fallback = ~constant & ~rows
     if rows.any():
-        y, row_sizes = x, sizes
+        y, row_starts, row_sizes = x, starts, sizes
         if not rows.all():
             y, row_sizes = x[np.repeat(rows, sizes)], sizes[rows]
-        row_starts = np.cumsum(row_sizes) - row_sizes
+            row_starts = np.cumsum(row_sizes) - row_sizes
         sums, certified = _exact_sums(y, row_starts, row_sizes, amax[rows])
         row_means = sums / row_sizes
         squares = _pow_squares(y - np.repeat(row_means, row_sizes))
@@ -354,8 +356,9 @@ def _rows_stats(x: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.nda
         means[rows] = row_means
         sds[rows] = np.sqrt(square_sums / row_sizes)
         fallback[rows] = ~(certified & square_certified)
-    for j in np.flatnonzero(fallback):
-        means[j], sds[j] = _fsum_stats(x[starts[j] : starts[j] + sizes[j]])
+    if fallback.any():
+        for j in np.flatnonzero(fallback):
+            means[j], sds[j] = _fsum_stats(x[starts[j] : starts[j] + sizes[j]])
 
 
 # The engine runs over runs of whole blocks holding about this many values,
@@ -378,12 +381,15 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
     values = sample.values
     if part.n != values.size:
         raise ValueError("partition does not cover this sample")
-    bounds, sizes = part.boundaries, part.sizes
+    bounds = part.boundaries
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     means, sds = np.empty(part.k), np.zeros(part.k)
     # a run starts at each block that starts in a new window of _RUN_VALUES
-    firsts = np.flatnonzero(np.diff(bounds[:-1] // _RUN_VALUES, prepend=-1)).tolist()
-    for a, b in zip(firsts, firsts[1:] + [part.k]):
-        _rows_stats(values[bounds[a] : bounds[b]], sizes[a:b], means[a:b], sds[a:b])
+    windows = starts // _RUN_VALUES
+    cuts = (np.flatnonzero(windows[1:] != windows[:-1]) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, part.k]):
+        lo = bounds[a]
+        _rows_stats(values[lo : bounds[b]], starts[a:b] - lo, sizes[a:b], means[a:b], sds[a:b])
     return BlockSummaries(means, sds, sizes)
 
 
@@ -399,11 +405,11 @@ QUIET_RELATIVE_SD = 2.0**-52
 
 
 def _block_arrays(summaries: Sequence[BlockSummary]) -> BlockSummaries:
-    """The summaries as arrays: :class:`BlockSummaries` as they are, a list converted once."""
+    """The summaries as arrays: :class:`BlockSummaries` as they are, a list converted once; raises when there are none."""
+    if not len(summaries):
+        raise ValueError("no blocks")
     if isinstance(summaries, BlockSummaries):
         return summaries
-    if not summaries:
-        raise ValueError("no blocks")
     means, sds, sizes = zip(*((s.mean, s.sd, s.size) for s in summaries))
     return BlockSummaries(np.array(means), np.array(sds), np.array(sizes))
 
@@ -444,8 +450,21 @@ def weighted_mean(summaries: Sequence[BlockSummary], p: float) -> float:
 
 
 def median_of_means(summaries: Sequence[BlockSummary]) -> float:
-    """Median of the block means; an even count averages the central pair."""
-    return float(np.median(_block_arrays(summaries).means))
+    """Median of the block means; an even count averages the central pair.
+
+    The result is ``np.median``'s, bit for bit: the same partition puts a
+    NaN, if any, last, and adding 0.0 first, as ``np.mean`` does, turns a
+    middle -0.0 into 0.0.
+    """
+    means = _block_arrays(summaries).means
+    half = means.size // 2
+    odd = means.size % 2
+    ordered = np.partition(means, [half, -1] if odd else [half - 1, half, -1])
+    if math.isnan(ordered[-1]):
+        return float(ordered[-1])
+    if odd:
+        return 0.0 + float(ordered[half])
+    return (0.0 + float(ordered[half - 1]) + float(ordered[half])) / 2
 
 
 def _trim_cut(n: int, epsilon: float) -> int:

@@ -43,6 +43,46 @@ def test_verdict_counts_wins_and_needs_nine_tenths_beyond_the_parent_iqr(change,
     assert bench_pairs.verdict(PARENT, change, direction) == want
 
 
+# quartiles 85 and 115 around a median of 100: an IQR of 30%, wider than a bound of 5%
+WIDE = [70.0, 85.0, 100.0, 115.0, 130.0]
+
+
+@pytest.mark.parametrize(
+    "parent, change, direction, want",
+    [
+        (PARENT, shifted(-6), "higher", "worse"),
+        (PARENT, shifted(-4), "higher", "ok"),
+        (PARENT, shifted(+6), "lower", "worse"),
+        (PARENT, shifted(+4), "lower", "ok"),
+        (PARENT, shifted(+30), "higher", "ok"),
+        # the parent's spread hides a worsening of the bound's size
+        (WIDE, [v - 2.0 for v in WIDE], "higher", "unresolved"),
+        (WIDE, [v + 10.0 for v in WIDE], "higher", "unresolved"),
+        # ... unless every run of the change beats every run of the parent
+        (WIDE, [131.0, 140.0, 150.0, 135.0, 132.0], "higher", "ok"),
+        (WIDE, [69.0, 60.0, 50.0, 65.0, 68.0], "lower", "ok"),
+        # a worse median is worse whatever the spread
+        (WIDE, [v - 10.0 for v in WIDE], "higher", "worse"),
+        (WIDE, [v + 10.0 for v in WIDE], "lower", "worse"),
+    ],
+    ids=["higher-worse", "higher-within", "lower-worse", "lower-within", "higher-better", "wide-within",
+         "wide-better-median", "wide-all-better-higher", "wide-all-better-lower", "wide-worse-higher", "wide-worse-lower"],
+)
+def test_regression_is_worse_beyond_the_bound_and_unresolved_under_a_wide_parent(parent, change, direction, want):
+    assert bench_pairs.regression(parent, change, direction, 0.05) == want
+
+
+def test_bounds_cover_the_end_to_end_metrics_only():
+    limits = bench_pairs.bounds()
+    table = bench_pairs.directions()
+    assert set(limits) == {"setup_s", "wall_s", "reps_per_s", "calls_per_s", "peak_rss_mb"}
+    assert all(0.0 < bound < 1.0 for bound in limits.values())
+    assert limits.get(bench_pairs.metric_name("paper_grid.peak_rss_mb", table)) == limits["peak_rss_mb"]
+    # a per-layer wall time is not the end-to-end one, though its last part is the same name
+    assert limits.get(bench_pairs.metric_name("trace.wall_s", table)) is None
+    assert limits.get(bench_pairs.metric_name("paper_grid.trace.wall_s", table)) is None
+
+
 def test_directions_come_from_benchmark_json_with_or_without_a_workload_prefix():
     table = bench_pairs.directions()
     assert bench_pairs.better("adaptive_scan.reps_per_s", table) == "higher"

@@ -327,6 +327,43 @@ def test_unknown_estimator_error_line(capsys):
     )
 
 
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# each call's exit status, stdout and stderr, all in one process
+_CALLS_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from robustmean.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        results.append([main(argv), out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_usage_errors_leave_the_shared_parser_as_fresh(tmp_path):
+    src = write_numbers(tmp_path / "ints.txt", range(1, 7))
+    calls = [
+        ["estimate", src, "--estimator", "nope", "--k", "3"],
+        ["simulate", "--format", "xml"],
+        ["estimate", src, "--estimator", "mom", "--k", "3"],
+        ["paper-figures", "--reps", "many"],
+        ["estimate", src, "--estimator", "weighted", "--k", "2"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "robustmean.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+        fresh.append([proc.returncode, proc.stdout, proc.stderr])
+    proc = subprocess.run([sys.executable, "-c", _CALLS_IN_ONE_PROCESS, json.dumps(calls)], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert json.loads(proc.stdout) == fresh
+    assert [status for status, _, _ in fresh] == [2, 2, 0, 2, 0]
+
+
 def run_cli_process(argv, **popen):
     """``robustmean`` in a child process reading "1\\n2\\n" from stdin; its exit status and stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from robustmean import (
     weighted_mean,
 )
 import robustmean.estimators
-from robustmean.estimators import _exact_sums, _pow_squares
+from robustmean.estimators import BlockSummaries, _exact_sums, _pow_squares
 
 
 def summaries_of(values, k):
@@ -188,6 +189,70 @@ def test_squares_equal_libm_pow_bit_for_bit():
     d = rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-100.0, 100.0, 10**6)
     want = [v**2 for v in d.tolist()]
     assert bits(_pow_squares(d)) == bits(want)
+    # below 2**-450 every square is recomputed, including those that
+    # underflow to a subnormal (|d| < 2**-511) or round to 0 (|d| < 2**-537.5)
+    tiny = rng.choice([-1.0, 1.0], 10**4) * 2.0 ** rng.uniform(-560.0, -450.0, 10**4)
+    edges = [2.0**-450, 2.0**-511, 2.0**-537, 2.0**-538, 2.0**-1074, np.nextafter(2.0**-537, 0.0)]
+    tiny = np.concatenate([tiny, edges, np.negative(edges), np.nextafter(edges, 1.0)])
+    squares = _pow_squares(tiny)
+    assert bits(squares) == bits([v**2 for v in tiny.tolist()])
+    assert (squares == 0.0).any() and ((squares > 0.0) & (squares < 2.0**-1022)).any()
+
+
+def summaries_in_runs(x, part, run_values):
+    """:func:`block_summaries` with ``_RUN_VALUES`` set to ``run_values``, and the block count of each run it took."""
+    rows_stats = robustmean.estimators._rows_stats
+    runs = []
+
+    def spy(run, starts, sizes, means, sds):
+        runs.append(sizes.size)
+        rows_stats(run, starts, sizes, means, sds)
+
+    with mock.patch.object(robustmean.estimators, "_RUN_VALUES", run_values), \
+            mock.patch.object(robustmean.estimators, "_rows_stats", spy):
+        got = block_summaries(Sample(x), part)
+    return got, runs
+
+
+@pytest.mark.parametrize(
+    "n, boundaries, run_values, runs",
+    [
+        (16, [0, 4, 8, 12, 16], 16, [4]),  # the sample fills exactly one window
+        (40, [0, 5, 10, 15, 20, 25, 30, 35, 40], 16, [4, 3, 1]),  # blocks straddle the windows' edges
+        (50, [0, 3, 40, 45, 50], 8, [2, 2]),  # block 1 is longer than four windows
+        (50, [0, 3, 40, 45, 50], 1, [1, 1, 1, 1]),  # every block its own run
+        (7, [0, 7], 1, [1]),  # one block over seven windows
+    ],
+    ids=["one-window", "straddling", "long-block", "window-of-1", "single-block"],
+)
+def test_multi_run_engine_equals_the_fsum_loop(n, boundaries, run_values, runs):
+    rng = np.random.default_rng(n + run_values)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n)
+    x[-4:] = x[-1]  # a constant tail block in the last run
+    part = BlockPartition(np.array(boundaries))
+    got, taken = summaries_in_runs(x, part, run_values)
+    want_means, want_sds = oracle_block_stats(x, part)
+    assert taken == runs
+    assert bits(got.means) == bits(want_means)
+    assert bits(got.sds) == bits(want_sds)
+
+
+@given(mixed_magnitudes(), st.integers(1, 64), st.data())
+@settings(max_examples=200)
+def test_block_stats_over_small_windows_bit_equal_to_the_fsum_loop(x, run_values, data):
+    cuts = data.draw(st.sets(st.integers(1, x.size - 1), max_size=x.size - 1), label="cuts") if x.size > 1 else set()
+    part = BlockPartition(np.array([0, *sorted(cuts), x.size]))
+    try:
+        want_means, want_sds = oracle_block_stats(x, part)
+    except OverflowError as want:
+        with pytest.raises(OverflowError) as got:
+            summaries_in_runs(x, part, run_values)
+        assert got.value.args == want.args
+        return
+    got, taken = summaries_in_runs(x, part, run_values)
+    assert len(taken) == len(set((part.boundaries[:-1] // run_values).tolist()))
+    assert bits(got.means) == bits(want_means)
+    assert bits(got.sds) == bits(want_sds)
 
 
 def test_uncertified_row_falls_back_to_fsum():
@@ -366,6 +431,39 @@ def test_median_of_means_hand_values():
     assert median_of_means([BlockSummary(4.25, 1.0, 2)]) == 4.25
     # even count: midpoint of the central pair
     assert median_of_means([BlockSummary(m, 1.0, 2) for m in (1.0, 2.0, 3.0, 10.0)]) == 2.5
+
+
+# signed zeros, infinities, NaN, doubles whose pairwise sums overflow and the least subnormal; repeats make ties
+_MEDIAN_SPECIALS = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1.7976931348623157e308,
+                    -1.7976931348623157e308, 1.7e308, -1.7e308, 8.98846567431158e307, 5e-324, -5e-324]
+
+
+@given(st.lists(st.sampled_from(_MEDIAN_SPECIALS) | st.floats(), min_size=1, max_size=40), st.booleans())
+@settings(max_examples=500)
+def test_median_of_means_is_np_median_bit_for_bit(means, as_list):
+    arrays = BlockSummaries(np.array(means), np.ones(len(means)), np.full(len(means), 2))
+    summaries = list(arrays) if as_list else arrays
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.median(np.array(means))
+    assert bits([median_of_means(summaries)]) == bits([want])
+
+
+@pytest.mark.parametrize(
+    "means, want",
+    [([-0.0], 0.0), ([-0.0, -0.0], 0.0), ([1.0, -0.0, -0.0], 0.0), ([1.7e308, 1.7e308], math.inf),
+     ([math.inf, -math.inf], math.nan), ([1.0, math.nan, 2.0], math.nan), ([-math.inf, 3.0, -math.inf, 5.0], -math.inf)],
+)
+def test_median_of_means_edge_values(means, want):
+    got = median_of_means([BlockSummary(m, 1.0, 2) for m in means])
+    assert math.isnan(got) if math.isnan(want) else bits([got]) == bits([want])
+
+
+@pytest.mark.parametrize("combine", [median_of_means, lambda summaries: weighted_mean(summaries, 2.0)], ids=["mom", "weighted"])
+@pytest.mark.parametrize("empty", [[], BlockSummaries(np.array([]), np.array([]), np.array([], dtype=np.int64))],
+                         ids=["list", "arrays"])
+def test_combiners_reject_no_blocks(combine, empty):
+    with pytest.raises(ValueError, match="no blocks"):
+        combine(empty)
 
 
 def test_trimmed_mean_hand_value():
