@@ -14,17 +14,21 @@ interquartile range.  Each end-to-end metric also gets a regression
 column: ``worse`` when the change's median is worse than the parent's by
 more than the metric's ``bound`` in BENCHMARK.json, else ``unresolved``
 when the parent's own interquartile range exceeds that bound, else ``ok``.
-Standard library only.
+Stopped by SIGTERM or an interrupt, the script kills the running benchmark,
+removes what it left, still writes the pairs already done and exits
+nonzero.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -47,13 +51,28 @@ def export(revision: str, dest: Path) -> None:
 
 
 def bench(tree: Path, bench_args: list[str]) -> dict:
-    """One run of the benchmark in ``tree``; its result line."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", *bench_args], cwd=tree, capture_output=True, text=True, timeout=3600,
-    )
-    if done.returncode != 0:
-        raise SystemExit(f"perfbench in {tree} exited with {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    """One run of the benchmark in ``tree``; its result line.
+
+    The run is a process group of its own.  If this script stops before
+    the run ends (a signal, an interrupt, the timeout), the whole group is
+    killed and the ``.perfbench-*`` work directories it left in ``tree``
+    are removed.
+    """
+    workdirs = set(tree.glob(".perfbench-*"))
+    with subprocess.Popen([sys.executable, "perfbench/run.py", *bench_args], cwd=tree, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as child:
+        try:
+            stdout, stderr = child.communicate(timeout=3600)
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):  # the group may have ended already
+                os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            for workdir in set(tree.glob(".perfbench-*")) - workdirs:
+                shutil.rmtree(workdir, ignore_errors=True)
+            raise
+    if child.returncode != 0:
+        raise SystemExit(f"perfbench in {tree} exited with {child.returncode}:\n{stderr}")
+    return json.loads(stdout.strip().splitlines()[-1])
 
 
 def benchmark_spec() -> dict:
@@ -187,6 +206,9 @@ def main(argv=None) -> int:
                 "pairs on one machine by scripts/bench_pairs.py; one session per invocation.",
         "sessions": [],
     }
+    # a SIGTERM unwinds like an exception: the running benchmark is killed,
+    # the exported tree removed and the pairs already done written
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     parent_tree = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
         export(parent_commit, parent_tree)

@@ -218,6 +218,9 @@ def main(argv=None) -> int:
         for problem in exc.errors:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
+    except OverflowError:
+        print("error: the numbers are too large to summarise: squaring or summing them overflows", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - anything else is a runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,6 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -276,54 +275,6 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     return total, exact | (np.abs(head_error + tail_error) + bound < half_gap)
 
 
-# 2**27 + 1 splits a double into two halves whose products are exact (Dekker).
-_SPLIT = 134217729.0
-# Squares whose exact value lies within this many ulps of a rounding
-# midpoint are recomputed by libm pow.  Outside this window pow rounds like
-# d * d as long as its error stays under 0.55 ulp.  The source comment of
-# glibc's pow (sysdeps/ieee754/dbl-64/e_pow.c) puts its worst case at 0.54
-# ulp with FMA and slightly more without; that is a derivation, not a
-# documented guarantee.  On 10**6 squares between 1e-200 and 1e200 the 854
-# values where pow and d * d differ all lay within 0.005 ulp of a midpoint.
-_POW_MARGIN = 0.05
-# |d| below this, possible in any row, could underflow in d * d or Dekker's products.
-_SQUARE_MIN = 2.0**-450
-
-
-def _pow_squares(d: np.ndarray) -> np.ndarray:
-    """``v ** 2`` for every v in ``d``, bit for bit as Python's float pow rounds it.
-
-    Python's ``**`` calls libm ``pow``, which is not correctly rounded,
-    so a square near a rounding midpoint, or with |v| below
-    :data:`_SQUARE_MIN`, is recomputed by ``math.pow``, which calls the
-    same libm ``pow`` as ``**``.  Every |v| must be below 2**450, so that
-    no product overflows; :func:`_rows_stats` keeps its deviations below
-    2**449.
-    """
-    # Dekker's split hi + lo == d into halves whose products are exact,
-    # written in place: the working set is four arrays besides d
-    hi = d * _SPLIT
-    lo = hi - d
-    hi -= lo
-    np.subtract(d, hi, out=lo)
-    square = d * d
-    error = hi * hi
-    error -= square
-    hi *= lo
-    hi += hi
-    error += hi
-    lo *= lo
-    error += lo  # d*d - square, exactly
-    mag = np.abs(d, out=hi)
-    redo = (mag < _SQUARE_MIN) & (mag != 0.0)
-    gap = _gap_below(square, out=lo)
-    gap *= 0.5 - _POW_MARGIN
-    redo |= np.abs(error, out=error) > gap
-    index = np.flatnonzero(redo)
-    square[index] = np.fromiter(map(math.pow, d[index].tolist(), repeat(2.0)), np.float64, index.size)
-    return square
-
-
 # A block that is not constant takes the array path when its largest |value|
 # A lies in this range; every other one runs _fsum_stats.  With A < 2**448
 # every |d| = |v - mean| is at most 2A < 2**449, so every square is below
@@ -351,7 +302,8 @@ def _rows_stats(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, means: np.
             row_starts = np.cumsum(row_sizes) - row_sizes
         sums, certified = _exact_sums(y, row_starts, row_sizes, amax[rows])
         row_means = sums / row_sizes
-        squares = _pow_squares(y - np.repeat(row_means, row_sizes))
+        # float_power calls libm pow per value, as Python's ** does; np.power squares by d * d
+        squares = np.float_power(y - np.repeat(row_means, row_sizes), 2.0)
         square_sums, square_certified = _exact_sums(squares, row_starts, row_sizes, np.maximum.reduceat(squares, row_starts))
         means[rows] = row_means
         sds[rows] = np.sqrt(square_sums / row_sizes)
@@ -374,9 +326,9 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
     single-block mean is the correctly rounded sample mean.  A constant
     block reports its value and sd 0 without any rounding.  A block whose
     largest |value| lies in :data:`_ROW_RANGE` goes through
-    :func:`_exact_sums` and :func:`_pow_squares` over the flat array; a
-    block outside it, or whose sum or sum of squares is not certified,
-    runs :func:`_fsum_stats` instead.
+    :func:`_exact_sums` over the flat array, squared by libm ``pow`` as
+    ``**`` squares; a block outside it, or whose sum or sum of squares is
+    not certified, runs :func:`_fsum_stats` instead.
     """
     values = sample.values
     if part.n != values.size:

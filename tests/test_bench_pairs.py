@@ -1,6 +1,13 @@
 """The gain rule of scripts/bench_pairs.py, which judges alternating benchmark runs."""
 
 import importlib.util
+import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -89,3 +96,64 @@ def test_directions_come_from_benchmark_json_with_or_without_a_workload_prefix()
     assert bench_pairs.better("peak_rss_mb", table) == "lower"
     assert bench_pairs.better("paper_grid.estimators.block_summaries.calls", table) == "lower"
     assert bench_pairs.better("no_such_metric", table) is None
+
+
+# A stand-in for perfbench/run.py: quick on the first pair, then a slow run
+# that leaves a work directory and a grandchild, and records both pids.
+STUB_RUN = """
+import json, os, subprocess, sys, tempfile, time
+from pathlib import Path
+state = Path(os.environ["STUB_STATE"])
+with open(state / "calls", "a") as calls:
+    calls.write("call\\n")
+if len((state / "calls").read_text().splitlines()) > 2:
+    tempfile.mkdtemp(prefix=".perfbench-", dir=os.getcwd())
+    grandchild = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(120)"])
+    (state / "pids.tmp").write_text(f"{os.getpid()} {grandchild.pid}")
+    (state / "pids.tmp").rename(state / "pids")
+    time.sleep(120)
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; a zombie has ended."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_sigterm_kills_the_benchmark_removes_its_directories_and_keeps_the_pairs_done(tmp_path):
+    repo, state, tmp = tmp_path / "repo", tmp_path / "state", tmp_path / "tmp"
+    for directory in (repo / "scripts", repo / "perfbench", state, tmp):
+        directory.mkdir(parents=True)
+    shutil.copy(_SCRIPT, repo / "scripts")
+    (repo / "perfbench" / "run.py").write_text(STUB_RUN)
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "stub"], cwd=repo, check=True)
+    env = {**os.environ, "STUB_STATE": str(state), "TMPDIR": str(tmp)}
+    script = subprocess.Popen(
+        [sys.executable, "scripts/bench_pairs.py", "--pr", "T", "--pairs", "3", "--seed", "1", "--seconds", "1"],
+        cwd=repo, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (state / "pids").exists():
+            assert script.poll() is None and time.monotonic() < deadline, script.communicate()
+            time.sleep(0.05)
+        pids = [int(pid) for pid in (state / "pids").read_text().split()]
+        script.send_signal(signal.SIGTERM)
+        script.communicate(timeout=60)
+    finally:
+        script.kill()
+    assert script.returncode != 0
+    assert not [pid for pid in pids if running(pid)]
+    assert not list(tmp.iterdir())  # the exported parent tree, bench-parent-*
+    assert not list(repo.glob(".perfbench-*"))
+    record = json.loads((repo / "BENCH_T.json").read_text())
+    assert [len(session["pairs"]) for session in record["sessions"]] == [1]

@@ -313,6 +313,16 @@ def test_estimate_empty_input_is_runtime_error(tmp_path, capsys):
     assert "no numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["mom", "weighted"])
+def test_estimate_overflow_names_its_cause(tmp_path, capsys, kind):
+    src = tmp_path / "huge.txt"
+    src.write_text("1e160\n-2e160\n3e160\n5e159\n")
+    assert main(["estimate", str(src), "--estimator", kind, "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the numbers are too large to summarise: squaring or summing them overflows\n"
+
+
 def test_unknown_subcommand_and_flag_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["estimate", "--no-such-flag"]) == 2

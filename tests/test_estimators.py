@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from robustmean import (
     BlockPartition,
     BlockSummary,
+    DistributionSpec,
     EstimatorSpec,
     Sample,
     block_summaries,
@@ -19,11 +20,12 @@ from robustmean import (
     estimate,
     median_of_means,
     partition,
+    sample,
     trimmed_mean,
     weighted_mean,
 )
 import robustmean.estimators
-from robustmean.estimators import BlockSummaries, _exact_sums, _pow_squares
+from robustmean.estimators import BlockSummaries, _exact_sums
 
 
 def summaries_of(values, k):
@@ -183,18 +185,20 @@ def test_block_stats_bit_equal_to_the_fsum_loop(x, data):
 
 
 def test_squares_equal_libm_pow_bit_for_bit():
-    # Python's ** calls libm pow, which is not correctly rounded: under glibc
-    # it differs from d * d on about 0.08% of these values.
+    # The engine squares by np.float_power(d, 2.0), which calls libm pow per
+    # value as Python's ** does.  pow is not correctly rounded: under glibc it
+    # differs from d * d, and so from np.power(d, 2.0), on about 0.08% of
+    # these values.  A numpy that vectorised float_power would fail here.
     rng = np.random.default_rng(20081217)
     d = rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-100.0, 100.0, 10**6)
     want = [v**2 for v in d.tolist()]
-    assert bits(_pow_squares(d)) == bits(want)
-    # below 2**-450 every square is recomputed, including those that
-    # underflow to a subnormal (|d| < 2**-511) or round to 0 (|d| < 2**-537.5)
+    assert bits(np.float_power(d, 2.0)) == bits(want)
+    # tiny squares, including those that underflow to a subnormal
+    # (|d| < 2**-511) or round to 0 (|d| < 2**-537.5)
     tiny = rng.choice([-1.0, 1.0], 10**4) * 2.0 ** rng.uniform(-560.0, -450.0, 10**4)
     edges = [2.0**-450, 2.0**-511, 2.0**-537, 2.0**-538, 2.0**-1074, np.nextafter(2.0**-537, 0.0)]
     tiny = np.concatenate([tiny, edges, np.negative(edges), np.nextafter(edges, 1.0)])
-    squares = _pow_squares(tiny)
+    squares = np.float_power(tiny, 2.0)
     assert bits(squares) == bits([v**2 for v in tiny.tolist()])
     assert (squares == 0.0).any() and ((squares > 0.0) & (squares < 2.0**-1022)).any()
 
@@ -310,13 +314,29 @@ def test_blocks_at_the_edges_of_the_array_path_equal_the_fsum_loop(exponent):
     rows[1][5] = -np.nextafter(top, 0.0)  # just below it
     rows[2][:] = np.nextafter(top, math.inf)  # a constant block
     rows[3][::2], rows[3][1::2] = top, np.nextafter(top, 0.0)  # the least spread a block can have
-    # the last deviation of this row is below 2**-450, so pow recomputes its square
+    # the last deviation of this row is below 2**-537.5, so its square rounds to 0
     x = np.concatenate([*rows, [2.0**-200, -(2.0**-200), 2.0**-1000]])
     for part in (BlockPartition(np.array([0, 8, 16, 24, 32, 40, 43])), partition(x.size, 1), partition(x.size, 6)):
         got = block_summaries(Sample(x), part)
         want_means, want_sds = oracle_block_stats(x, part)
         assert bits(got.means) == bits(want_means)
         assert bits(got.sds) == bits(want_sds)
+
+
+@pytest.mark.parametrize("k", [1, 2, 25, 256, 2500, 20000])
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+def test_engine_at_realistic_sizes_equals_the_fsum_loop(scale, k):
+    # 20,000 values span three windows of _RUN_VALUES; both scales keep
+    # every block inside _ROW_RANGE
+    x = sample(DistributionSpec.half_t(4), 20000, seed=20000).values.copy()
+    rng = np.random.default_rng(20000)
+    x[rng.choice(x.size, 100, replace=False)] = rng.choice([1e3, 1e5], 100)
+    x *= scale
+    part = partition(x.size, k)
+    got = block_summaries(Sample(x), part)
+    want_means, want_sds = oracle_block_stats(x, part)
+    assert bits(got.means) == bits(want_means)
+    assert bits(got.sds) == bits(want_sds)
 
 
 # ------------------------------------------------------------ weighted mean
