@@ -133,7 +133,11 @@ def _cmd_estimate(args) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as handle:
             values = _read_numbers(handle)
-    print(format(estimate(Sample(values), spec), ".17g"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = estimate(Sample(values), spec)
+    if not math.isfinite(result):
+        raise OverflowError(result)
+    print(format(result, ".17g"))
     return 0
 
 

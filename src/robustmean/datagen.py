@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Sample, require_finite
+from .estimators import Sample, is_int, require_finite
 from .seeding import generator
 
 # The DistributionSpec fields each family reads; the one list of kinds.
@@ -112,7 +112,7 @@ class ContaminationSpec:
     value: float = 1000.0
 
     def __post_init__(self):
-        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 0:
+        if not is_int(self.count) or self.count < 0:
             raise ValueError("count must be a non-negative integer")
         require_finite(self, ("value",))
 

@@ -37,6 +37,11 @@ def require_finite(spec, fields) -> None:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_fields(spec, fields) -> None:
     """Raise ValueError for the first of ``fields`` on ``spec`` that is not finite, else the first out of its range."""
     require_finite(spec, fields)
@@ -143,7 +148,7 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_FIELDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise ValueError("k must be a positive integer")
         check_fields(self, ESTIMATOR_FIELDS[self.kind])
 
@@ -209,24 +214,6 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - bv)) + (b - bv)
 
 
-_EXPONENT_BITS = 0x7FF0000000000000
-
-
-def _gap_below(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The gap from each ``a >= 0`` down to the next double, the nearer of its two gaps, written to ``out``.
-
-    It is the ulp of the predecessor, read from its exponent bits; 0 for
-    0, subnormals and the least normal, which makes every test against
-    it fail safe.
-    """
-    bits = out.view(np.int64)
-    np.subtract(a.view(np.int64), 1, out=bits)
-    np.maximum(bits, 0, out=bits)
-    bits &= _EXPONENT_BITS
-    out *= 2.0**-52
-    return out
-
-
 def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's sum rounded once, as ``math.fsum`` gives it, and whether that is certified.
 
@@ -268,9 +255,11 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     head, tail = _two_sum(first, second)
     tail, tail_error = _two_sum(tail, residual)
     total, head_error = _two_sum(head, tail)
-    # the factor under 1/2 absorbs the rounding of the test's own sum
-    half_gap = _gap_below(np.abs(total), np.empty_like(total))
-    half_gap *= 0.5 - 2.0**-51
+    # the gap below |total|, the nearer of its two, is exact (Sterbenz); for 0,
+    # subnormals and the least normal the factor under 1/2, which absorbs the
+    # rounding of the test's own sum, rounds it to 0, so the test fails safe
+    a = np.abs(total)
+    half_gap = (a - np.nextafter(a, 0.0)) * (0.5 - 2.0**-51)
     exact = (bound == 0.0) & (tail_error == 0.0)
     return total, exact | (np.abs(head_error + tail_error) + bound < half_gap)
 

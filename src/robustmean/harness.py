@@ -24,6 +24,7 @@ from .estimators import (
     _trim_cut,
     block_summaries,
     estimate,
+    is_int,
     median_of_means,
     partition,
     weighted_mean,
@@ -39,6 +40,10 @@ FIGURE_OUTLIER_GRID = (0, 50, 100, 150)
 FIGURE_OUTLIER_VALUE = 1000.0
 FIGURE_DEFAULT_SEED = 20081217
 FIGURE_DEFAULT_REPLICATIONS = 1000
+
+# The fields an `estimators` entry may set for each kind: the grid supplies k,
+# so entries that differ only in k would give the same rows.
+ENTRY_FIELDS = {kind: tuple(name for name in fields if name != "k") for kind, fields in ESTIMATOR_FIELDS.items()}
 
 CSV_COLUMNS = (
     "estimator",
@@ -135,37 +140,32 @@ class ExperimentTable:
         return hits[0].metrics
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def validate_spec(spec: ExperimentSpec) -> list[str]:
     """Every violated field, one message each; empty when the spec is sound.  Booleans are not integers."""
     problems: list[str] = []
-    n_ok = _is_int(spec.n) and spec.n >= 1
+    n_ok = is_int(spec.n) and spec.n >= 1
     if not n_ok:
         problems.append("N: must be a positive integer")
-    if not (_is_int(spec.replications) and spec.replications >= 1):
+    if not (is_int(spec.replications) and spec.replications >= 1):
         problems.append("replications: must be a positive integer")
-    if not (_is_int(spec.base_seed) and 0 <= spec.base_seed < 2**64):
+    if not (is_int(spec.base_seed) and 0 <= spec.base_seed < 2**64):
         problems.append("base_seed: must be an integer in [0, 2**64)")
     if not isinstance(spec.k_grid, (tuple, list)) or not spec.k_grid:
         problems.append("k_grid: must be a non-empty array of integers")
     else:
         for k in spec.k_grid:
-            if not _is_int(k):
+            if not is_int(k):
                 problems.append(f"k_grid: {k!r} is not an integer")
             elif n_ok and not 1 <= k <= spec.n:
                 problems.append(f"k_grid: k={k} outside 1..{spec.n}")
-        ks = [k for k in spec.k_grid if _is_int(k)]
+        ks = [k for k in spec.k_grid if is_int(k)]
         for k in dict.fromkeys(k for k in ks if ks.count(k) > 1):
             problems.append(f"k_grid: k={k} repeated")
     if not spec.estimators:
         problems.append("estimators: must not be empty")
-    # the grid supplies k, so entries that differ only in k give the same rows
     seen: dict[tuple, int] = {}
     for index, est in enumerate(spec.estimators):
-        entry = {"kind": est.kind, **{name: getattr(est, name) for name in ESTIMATOR_FIELDS[est.kind] if name != "k"}}
+        entry = {"kind": est.kind, **{name: getattr(est, name) for name in ENTRY_FIELDS[est.kind]}}
         first = seen.setdefault(tuple(entry.items()), index)
         if first != index:
             problems.append(f"estimators[{index}]: repeats estimators[{first}] {entry}")
@@ -323,65 +323,49 @@ _REQUIRED_KEYS = ("schema_version", "N", "distribution", "k_grid", "estimators",
 _TOP_KEYS = {*_REQUIRED_KEYS, "contamination"}
 
 
-def _parse_distribution(payload, problems: list[str]) -> DistributionSpec:
-    fallback = DistributionSpec.normal()
+def _parse_kind(payload, label: str, fields: dict[str, tuple[str, ...]], build, problems: list[str]):
+    """``build(kind, **values)`` from a JSON object whose ``kind`` is a key of ``fields``; None when it cannot be built.
+
+    Every problem goes to ``problems``: the fields ``kind`` does not read
+    together with the value problems of those it does.
+    """
     if not isinstance(payload, dict):
-        problems.append("distribution: must be an object")
-        return fallback
+        problems.append(f"{label}: must be an object")
+        return None
     kind = payload.get("kind")
-    if kind not in DISTRIBUTION_FIELDS:
-        problems.append(f"distribution.kind: must be one of {sorted(DISTRIBUTION_FIELDS)}")
-        return fallback
-    for key in sorted(set(payload) - {"kind", *DISTRIBUTION_FIELDS[kind]}):
-        problems.append(f"distribution.{key}: unknown field for kind {kind!r}")
-    kwargs = {key: value for key, value in payload.items() if key in DISTRIBUTION_FIELDS[kind]}
+    if not isinstance(kind, str) or kind not in fields:
+        problems.append(f"{label}.kind: must be one of {sorted(fields)}")
+        return None
+    for key in sorted(set(payload) - {"kind", *fields[kind]}):
+        problems.append(f"{label}.{key}: unknown field for kind {kind!r}")
     try:
-        return DistributionSpec(kind, **kwargs)
+        return build(kind, **{key: value for key, value in payload.items() if key in fields[kind]})
     except (TypeError, ValueError) as exc:
-        problems.append(f"distribution: {exc}")
-        return fallback
+        problems.append(f"{label}: {exc}")
+        return None
 
 
 def _parse_contamination(payload, problems: list[str]) -> ContaminationSpec:
     if payload is None:
-        return ContaminationSpec(0)
+        return ContaminationSpec()
     if not isinstance(payload, dict):
         problems.append("contamination: must be an object")
-        return ContaminationSpec(0)
+        return ContaminationSpec()
     for key in sorted(set(payload) - {"count", "value"}):
         problems.append(f"contamination.{key}: unknown field")
     try:
-        return ContaminationSpec(count=payload.get("count", 0), value=payload.get("value", 1000.0))
+        return ContaminationSpec(**{key: value for key, value in payload.items() if key in ("count", "value")})
     except (TypeError, ValueError) as exc:
         problems.append(f"contamination: {exc}")
-        return ContaminationSpec(0)
+        return ContaminationSpec()
 
 
 def _parse_estimators(payload, problems: list[str]) -> tuple[EstimatorSpec, ...]:
     if not isinstance(payload, list):
         problems.append("estimators: must be an array")
         return ()
-    specs = []
-    for index, entry in enumerate(payload):
-        label = f"estimators[{index}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{label}: must be an object")
-            continue
-        kind = entry.get("kind")
-        if kind not in ESTIMATOR_FIELDS:
-            problems.append(f"{label}.kind: must be one of {sorted(ESTIMATOR_FIELDS)}")
-            continue
-        # the grid supplies k, so an entry may not set it
-        unknown = sorted(set(entry) - ({"kind", *ESTIMATOR_FIELDS[kind]} - {"k"}))
-        problems.extend(f"{label}.{key}: unknown field for kind {kind!r}" for key in unknown)
-        if unknown:
-            continue
-        kwargs = {key: value for key, value in entry.items() if key != "kind"}
-        try:
-            specs.append(EstimatorSpec(kind, **kwargs))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"{label}: {exc}")
-    return tuple(specs)
+    specs = (_parse_kind(entry, f"estimators[{index}]", ENTRY_FIELDS, EstimatorSpec, problems) for index, entry in enumerate(payload))
+    return tuple(spec for spec in specs if spec is not None)
 
 
 def _field(problem: str) -> str:
@@ -410,7 +394,8 @@ def parse_config(text: str) -> ExperimentSpec:
     k_grid = payload.get("k_grid")
     spec = ExperimentSpec(
         n=payload.get("N"),
-        distribution=_parse_distribution(payload["distribution"], problems) if "distribution" in payload else DistributionSpec.normal(),
+        distribution=_parse_kind(payload["distribution"], "distribution", DISTRIBUTION_FIELDS, DistributionSpec, problems)
+        if "distribution" in payload else None,
         contamination=_parse_contamination(payload.get("contamination"), problems),
         k_grid=tuple(k_grid) if isinstance(k_grid, list) else k_grid,
         estimators=_parse_estimators(payload["estimators"], problems) if "estimators" in payload else (),

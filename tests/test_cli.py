@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,27 @@ def test_estimate_overflow_names_its_cause(tmp_path, capsys, kind):
     src = tmp_path / "huge.txt"
     src.write_text("1e160\n-2e160\n3e160\n5e159\n")
     assert main(["estimate", str(src), "--estimator", kind, "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the numbers are too large to summarise: squaring or summing them overflows\n"
+
+
+@pytest.mark.parametrize(
+    "lines, flags",
+    [
+        (["1.7e308"] * 30 + ["1.6e308"] * 30, ["--estimator", "mom", "--k", "2"]),  # the central pair's average
+        (["1.7e308"] * 30 + ["1.6e308"] * 30, ["--estimator", "trimmed", "--epsilon", "0"]),  # inf
+        (["1.7e308", "-1.7e308"] * 300, ["--estimator", "trimmed", "--epsilon", "0.1"]),  # nan
+        (["1.7e308", "-1.7e308"] * 300, ["--estimator", "adaptive"]),  # robust_sigma's gaps overflow first
+    ],
+    ids=["mom", "trimmed-inf", "trimmed-nan", "adaptive"],
+)
+def test_estimate_non_finite_result_exits_1_with_the_overflow_line(tmp_path, capsys, lines, flags):
+    src = write_numbers(tmp_path / "huge.txt", lines)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["estimate", src, *flags]) == 1
+    assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the numbers are too large to summarise: squaring or summing them overflows\n"

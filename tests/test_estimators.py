@@ -272,6 +272,20 @@ def test_uncertified_row_falls_back_to_fsum():
     assert bits(means) != bits([1.0 / 3.0])
 
 
+def test_uncertified_row_below_a_power_of_two_falls_back_to_fsum():
+    # 1 - 2**-54 is the midpoint of the smaller gap under 1.0 and -2**-150
+    # tips the exact sum past it, so fsum gives 1 - 2**-53; the total rounds
+    # to 1.0, which only the wider gap above 1.0 would certify
+    row = np.array([1.0, -(2.0**-54), -(2.0**-150)])
+    total, certified = _exact_sums(row, np.array([0]), np.array([3]), np.array([1.0]))
+    assert total[0] == 1.0 and not certified[0]
+    assert math.fsum(row.tolist()) == 1.0 - 2.0**-53
+    # a fourth value, 0, makes the mean the exact sum / 4, which tells the two sums apart
+    block = np.append(row, 0.0)
+    means = block_summaries(Sample(block), partition(4, 1)).means
+    assert bits(means) == bits(oracle_block_stats(block, partition(4, 1))[0]) == bits([(1.0 - 2.0**-53) / 4])
+
+
 @pytest.mark.parametrize(
     "values, k",
     [

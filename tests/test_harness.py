@@ -438,12 +438,15 @@ def test_parse_config_rejects_unknown_fields_everywhere():
     payload["ntoal"] = 1
     payload["distribution"]["sd"] = 2.0  # normal-only field on half_t
     payload["estimators"][0]["p"] = 2.0  # mom takes no exponent
+    payload["estimators"].append({"kind": "weighted", "p": 0.5, "foo": 1})  # an unknown field and a bad value
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(payload))
     text = str(err.value)
     assert "ntoal" in text
     assert "distribution.sd" in text
     assert "estimators[0].p" in text
+    assert "estimators[4].foo: unknown field for kind 'weighted'" in err.value.errors
+    assert "estimators[4]: p must be >= 1" in err.value.errors
 
 
 def test_parse_config_collects_all_problems_in_one_pass():
@@ -462,6 +465,18 @@ def test_parse_config_collects_all_problems_in_one_pass():
     # shape and range problems are all reported together
     for needle in ("schema_version", "N", "distribution.kind", "k_grid", "replications", "base_seed"):
         assert needle in text, text
+
+
+def test_parse_config_reports_a_kind_that_is_not_a_string():
+    payload = json.loads(json.dumps(GOOD_CONFIG))
+    payload["distribution"] = {"kind": ["half_t"]}
+    payload["estimators"][1] = {"kind": {"weighted": 1}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(payload))
+    assert err.value.errors == [
+        "distribution.kind: must be one of ['half_t', 'normal', 'pareto', 'student_t']",
+        "estimators[1].kind: must be one of ['adaptive', 'mom', 'trimmed', 'weighted']",
+    ]
 
 
 def test_parse_config_reports_each_problem_once():
