@@ -10,10 +10,13 @@ to ``BENCH_<pr>.json`` at the top of this checkout.  The summary gives, for
 each metric, both sides' medians and quartiles, the change's wins and
 whether it counts as a gain: wins in at least nine tenths of the pairs, ties
 counting for neither, and medians further apart than the parent's
-interquartile range.  Each end-to-end metric also gets a regression
-column: ``worse`` when the change's median is worse than the parent's by
-more than the metric's ``bound`` in BENCHMARK.json, else ``unresolved``
-when the parent's own interquartile range exceeds that bound, else ``ok``.
+interquartile range.  Next to the verdict it prints that gap between the
+medians, measured the better way, over the parent's interquartile range,
+so a ``no`` shows which of the two rules failed.  Each end-to-end metric
+also gets a regression column: ``worse`` when the change's median is worse
+than the parent's by more than the metric's ``bound`` in BENCHMARK.json,
+else ``unresolved`` when the parent's own interquartile range exceeds that
+bound, else ``ok``.
 Stopped by SIGTERM or an interrupt, the script kills the running benchmark,
 removes what it left, still writes the pairs already done and exits
 nonzero.  Standard library only.
@@ -108,18 +111,27 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def gap(parent: list[float], change: list[float], direction: str) -> tuple[float, float]:
+    """How far the change's median lies from the parent's, measured the better way, and the parent's interquartile range.
+
+    ``direction`` says which way is better, "higher" or "lower"; a change
+    that is worse gives a negative gap.
+    """
+    (pm, pq1, pq3), (cm, _, _) = spread(parent), spread(change)
+    return cm - pm if direction == "higher" else pm - cm, pq3 - pq1
+
+
 def verdict(parent: list[float], change: list[float], direction: str) -> tuple[int, bool]:
     """The change's wins over the parent, pair by pair, and whether they make a gain.
 
     ``direction`` says which way is better, "higher" or "lower".  A tie
     counts for neither side.  A gain needs wins in at least nine tenths of
-    the pairs and medians further apart, the better way, than the parent's
-    interquartile range.
+    the pairs and a :func:`gap` wider than the parent's interquartile range.
     """
     sign = 1 if direction == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    (pm, pq1, pq3), (cm, _, _) = spread(parent), spread(change)
-    return won, 10 * won >= 9 * len(parent) and sign * (cm - pm) > pq3 - pq1
+    moved, iqr = gap(parent, change, direction)
+    return won, 10 * won >= 9 * len(parent) and moved > iqr
 
 
 def regression(parent: list[float], change: list[float], direction: str, bound: float) -> str:
@@ -148,7 +160,7 @@ def summarise(pairs: list[dict]) -> None:
         print(f"{side}: {failed} of {attempted} calls failed")
     keys = [k for k in pairs[0]["parent"]["metrics"] if all(k in p[s]["metrics"] for p in pairs for s in ("parent", "change"))]
     print(f"{'metric':44} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} {'ratio':>7} {'wins':>6}  gain"
-          "  regression")
+          f"  {'gap / parent IQR':21}  regression")
     for key in keys:
         parent = [p["parent"]["metrics"][key]["value"] for p in pairs]
         change = [p["change"]["metrics"][key]["value"] for p in pairs]
@@ -156,13 +168,14 @@ def summarise(pairs: list[dict]) -> None:
         ratio = f"{cm / pm:7.3f}" if pm else f"{'-':>7}"
         direction, bound = better(key, table), limits.get(metric_name(key, table))
         if direction is None:
-            wins, gain = "?", "?"
+            wins, gain, moved = "?", "?", "?"
         else:
             won, gained = verdict(parent, change, direction)
             wins, gain = f"{won}/{len(pairs)}", "yes" if gained else "no"
+            moved = "{:9.4g} / {:<9.4g}".format(*gap(parent, change, direction))
         regressed = "-" if direction is None or bound is None else regression(parent, change, direction, bound)
         print(f"{key:44} {pm:12.6g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.6g} [{cq1:8.4g}, {cq3:8.4g}] {ratio} {wins:>6}  "
-              f"{gain:4}  {regressed}")
+              f"{gain:4}  {moved:21}  {regressed}")
 
 
 def dumps(record: dict) -> str:

@@ -78,15 +78,21 @@ def robust_sigma(sample: Sample) -> ScaleEstimate:
     at most one order statistic.
 
     Needs at least 400 observations (four groups); a trailing remainder
-    shorter than a group is dropped.
+    shorter than a group is dropped.  A gap, or a sum of the two gaps a
+    median averages, past the largest double is ``inf`` without a warning,
+    and so may the estimate be.
     """
     x = sample.values
     if x.size < ROBUST_SIGMA_MIN_N:
         raise ValueError(f"robust_sigma needs at least {ROBUST_SIGMA_MIN_N} observations")
     groups = x.size // 100
     pairs = x[: groups * 100].reshape(groups, 50, 2)
-    gaps = np.median(np.abs(pairs[:, :, 1] - pairs[:, :, 0]), axis=1)
-    return ScaleEstimate(float(np.median(gaps)) * _MEDIAN_GAP_TO_MEAN_GAP, groups)
+    with np.errstate(over="ignore"):
+        gaps = pairs[:, :, 1] - pairs[:, :, 0]
+        np.abs(gaps, out=gaps).sort(axis=1)
+        # each group's median, the mean of its central pair as np.median takes it
+        medians = (gaps[:, 24] + gaps[:, 25]) / 2.0
+        return ScaleEstimate(float(np.median(medians)) * _MEDIAN_GAP_TO_MEAN_GAP, groups)
 
 
 def harmonic_mean_inverse(summaries: Sequence[BlockSummary], p: float) -> float:
@@ -139,14 +145,19 @@ def adaptive_k(
     return 2
 
 
-def adaptive_estimate(sample: Sample, config: AdaptiveConfig, levels: dict[int, BlockSummaries] | None = None) -> float:
+def adaptive_estimate(
+    sample: Sample, config: AdaptiveConfig, levels: dict[int, BlockSummaries] | None = None, scale: ScaleEstimate | None = None
+) -> float:
     """Weighted block mean at the scanned block count.
 
-    Fully data-driven: the scale comes from :func:`robust_sigma`, so the
-    caller supplies nothing beyond the sample and the knobs.  The chosen
-    level is read from the summaries the scan left in ``levels`` (see
+    Fully data-driven: the scale is ``scale``, this sample's
+    :func:`robust_sigma` (computed here when None), so the caller supplies
+    nothing beyond the sample and the knobs.  Cells that share a sample
+    pass one scale, as they pass one ``levels``.  The chosen level is read
+    from the summaries the scan left in ``levels`` (see
     :func:`adaptive_k`; a fresh map when None), never built twice.
     """
     levels = {} if levels is None else levels
-    k = adaptive_k(sample, config, robust_sigma(sample).sigma_tilde, levels)
+    scale = robust_sigma(sample) if scale is None else scale
+    k = adaptive_k(sample, config, scale.sigma_tilde, levels)
     return weighted_mean(levels[k], config.p)

@@ -14,8 +14,12 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .adaptive import ScaleEstimate
 
 # The EstimatorSpec fields each estimator kind reads; the one list of kinds.
 ESTIMATOR_FIELDS = {
@@ -291,8 +295,10 @@ def _rows_stats(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, means: np.
             row_starts = np.cumsum(row_sizes) - row_sizes
         sums, certified = _exact_sums(y, row_starts, row_sizes, amax[rows])
         row_means = sums / row_sizes
-        # float_power calls libm pow per value, as Python's ** does; np.power squares by d * d
-        squares = np.float_power(y - np.repeat(row_means, row_sizes), 2.0)
+        # float_power calls libm pow per value, as Python's ** does (np.power squares by
+        # d * d), and on |d|, which is what CPython's float_pow hands pow for a negative d
+        squares = y - np.repeat(row_means, row_sizes)
+        np.float_power(np.abs(squares, out=squares), 2.0, out=squares)
         square_sums, square_certified = _exact_sums(squares, row_starts, row_sizes, np.maximum.reduceat(squares, row_starts))
         means[rows] = row_means
         sds[rows] = np.sqrt(square_sums / row_sizes)
@@ -315,9 +321,9 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
     single-block mean is the correctly rounded sample mean.  A constant
     block reports its value and sd 0 without any rounding.  A block whose
     largest |value| lies in :data:`_ROW_RANGE` goes through
-    :func:`_exact_sums` over the flat array, squared by libm ``pow`` as
-    ``**`` squares; a block outside it, or whose sum or sum of squares is
-    not certified, runs :func:`_fsum_stats` instead.
+    :func:`_exact_sums` over the flat array, squared by libm ``pow`` on
+    |d| as ``**`` squares; a block outside it, or whose sum or sum of
+    squares is not certified, runs :func:`_fsum_stats` instead.
     """
     values = sample.values
     if part.n != values.size:
@@ -429,12 +435,18 @@ def trimmed_mean(sample: Sample, epsilon: float) -> float:
     return float(np.sort(x)[cut : x.size - cut].mean())
 
 
-def estimate(sample: Sample, spec: EstimatorSpec, levels: dict[int, BlockSummaries] | None = None) -> float:
+def estimate(
+    sample: Sample, spec: EstimatorSpec, levels: dict[int, BlockSummaries] | None = None, scale: ScaleEstimate | None = None
+) -> float:
     """Run the estimator described by ``spec`` on ``sample``.
 
     ``levels``, a map from block count to this sample's summaries, is
     handed to the adaptive scan, which reads it and adds the levels it
-    builds (see :func:`~robustmean.adaptive.adaptive_k`).
+    builds (see :func:`~robustmean.adaptive.adaptive_k`).  ``scale``, this
+    sample's :class:`~robustmean.adaptive.ScaleEstimate`, is handed to the
+    adaptive kind too, so cells that share a sample share one scale; None
+    computes it with :func:`~robustmean.adaptive.robust_sigma`.  The other
+    kinds read neither.
     """
     if spec.kind == "weighted":
         return weighted_mean(block_summaries(sample, partition(sample.n, spec.k)), spec.p)
@@ -446,4 +458,4 @@ def estimate(sample: Sample, spec: EstimatorSpec, levels: dict[int, BlockSummari
     from .adaptive import AdaptiveConfig, adaptive_estimate
 
     config = AdaptiveConfig(p=spec.p, contamination_bound=spec.contamination_bound)
-    return adaptive_estimate(sample, config, levels)
+    return adaptive_estimate(sample, config, levels, scale)

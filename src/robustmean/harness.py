@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import ROBUST_SIGMA_MIN_N
+from .adaptive import ROBUST_SIGMA_MIN_N, ScaleEstimate, robust_sigma
 from .datagen import DISTRIBUTION_FIELDS, ContaminationSpec, DistributionSpec, contaminate, sample
 from .estimators import (
     ESTIMATOR_FIELDS,
@@ -190,6 +190,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     same value in every k cell of their row group.  A replication builds
     the block summaries for a k only when a blockwise estimator or the
     adaptive scan reads them, and at most once: its cells share them.
+    Its ``adaptive`` cells likewise share one :func:`robust_sigma`, computed
+    when the first of them runs.
     """
     problems = validate_spec(spec)
     if problems:
@@ -201,11 +203,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     for r in range(spec.replications):
         raw = sample(spec.distribution, spec.n, substream_seed(spec.base_seed, "sample", r))
         corrupted = contaminate(raw, spec.contamination, substream_seed(spec.base_seed, "contaminate", r))
-        # this replication's summaries by block count, shared by every cell
+        # this replication's summaries by block count and its scale, shared by every cell
         summaries: dict[int, BlockSummaries] = {}
+        scale: ScaleEstimate | None = None
         for est, row in zip(spec.estimators, errors[r]):
             if "k" not in ESTIMATOR_FIELDS[est.kind]:
-                row[:] = estimate(corrupted, est, summaries) - true_mean
+                if est.kind == "adaptive" and scale is None:
+                    scale = robust_sigma(corrupted)
+                row[:] = estimate(corrupted, est, summaries, scale) - true_mean
                 continue
             for j, k in enumerate(spec.k_grid):
                 if k not in summaries:

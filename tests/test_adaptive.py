@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from robustmean import (
     adaptive_k,
     block_summaries,
     contaminate,
+    estimate,
     event_check,
     event_check_plain,
     harmonic_mean_inverse,
@@ -94,6 +96,65 @@ def test_robust_sigma_affine(scale, flip, shift):
     base = robust_sigma(Sample(x)).sigma_tilde
     moved = robust_sigma(Sample(a * x + shift)).sigma_tilde
     assert abs(moved - abs(a) * base) <= 1e-9 * max(1.0, abs(a) * base)
+
+
+def oracle_robust_sigma(x):
+    """robust_sigma's scale from ``np.median`` over each group's gaps and over the groups."""
+    groups = x.size // 100
+    pairs = x[: groups * 100].reshape(groups, 50, 2)
+    with np.errstate(over="ignore"):
+        gaps = np.median(np.abs(pairs[:, :, 1] - pairs[:, :, 0]), axis=1)
+        return float(np.median(gaps)) * robustmean.adaptive._MEDIAN_GAP_TO_MEAN_GAP
+
+
+def robust_sigma_cases():
+    rng = np.random.default_rng(20081217)
+    # every trailing remainder, and the adaptive_scan workload's size
+    for n in [*range(400, 500), 16_384]:
+        yield rng.standard_t(3.0, n)
+    # ties, and groups that are wholly constant
+    for n in (400, 1_234, 16_384):
+        yield rng.integers(0, 4, n).astype(float)
+        x = rng.normal(size=n)
+        x[100:300] = 2.5
+        yield x
+    for scale in (1e-150, 1e150):
+        for n in (400, 2_345, 16_384):
+            yield scale * rng.standard_t(2.0, n)
+    # subnormal gaps, whose central pair's mean rounds
+    yield 2.0**-1074 * rng.integers(0, 8, 1_000)
+    # neighbour pairs whose gaps overflow: in every group, in a minority of
+    # groups, in a majority, and in some pairs of every group
+    huge = np.array([1.7e308, -1.7e308] * 200)
+    yield huge
+    for broken in (1, 3):
+        x = rng.normal(size=400)
+        x[: broken * 100] = huge[: broken * 100]
+        yield x
+    yield 1e308 * rng.choice([-1.0, 1.0], 800) * rng.uniform(0.5, 1.0, 800)
+    # finite gaps whose central pair's sum overflows
+    yield np.array([0.0, 1e308] * 200)
+    for _ in range(60):
+        n = int(rng.integers(400, 20_001))
+        yield 10.0 ** rng.uniform(-150.0, 150.0) * (rng.standard_t(2.0, n) + rng.normal())
+
+
+def test_robust_sigma_equals_the_np_median_oracle_bit_for_bit():
+    for x in robust_sigma_cases():
+        got = robust_sigma(Sample(x))
+        assert got.sigma_tilde.hex() == oracle_robust_sigma(x).hex(), x.size
+        assert got.groups_used == x.size // 100
+
+
+def test_robust_sigma_is_inf_without_a_warning_when_gaps_overflow():
+    huge = Sample(np.array([1.7e308, -1.7e308] * 200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert robust_sigma(huge).sigma_tilde == math.inf
+        # the scan then meets the engine's overflow, as the weighted kind does
+        for spec in (EstimatorSpec("adaptive"), EstimatorSpec("weighted", k=2)):
+            with pytest.raises(OverflowError):
+                estimate(huge, spec)
 
 
 # ----------------------------------------------------- harmonic mean, event

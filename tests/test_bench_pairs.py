@@ -50,6 +50,44 @@ def test_verdict_counts_wins_and_needs_nine_tenths_beyond_the_parent_iqr(change,
     assert bench_pairs.verdict(PARENT, change, direction) == want
 
 
+@pytest.mark.parametrize(
+    "change, direction, want",
+    [
+        (shifted(+10), "higher", (10.0, 1.5)),
+        (shifted(+10), "lower", (-10.0, 1.5)),
+        (shifted(-1), "lower", (1.0, 1.5)),
+        # two ties: the change's median is (109 + 110) / 2
+        (shifted(+10, ties=2), "higher", (9.5, 1.5)),
+    ],
+    ids=["higher-up", "lower-up", "lower-in-iqr", "higher-2-ties"],
+)
+def test_gap_is_the_median_move_the_better_way_and_the_parent_iqr(change, direction, want):
+    assert bench_pairs.gap(PARENT, change, direction) == want
+
+
+def result(metric_value):
+    return {"failed": 0, "attempted": 1, "metrics": {"reps_per_s": {"value": metric_value, "unit": "1/s"}}}
+
+
+@pytest.mark.parametrize(
+    "change, wins, gain, shown",
+    [
+        # the gap clears the IQR, but 8 wins of 10 do not make a gain
+        (shifted(+10, ties=2), "8/10", "no", "9.5 / 1.5"),
+        # every pair won, but the gap stays inside the IQR
+        (shifted(+1), "10/10", "no", "1 / 1.5"),
+        (shifted(+10), "10/10", "yes", "10 / 1.5"),
+    ],
+    ids=["wins-fail", "iqr-fails", "gain"],
+)
+def test_summary_prints_the_gap_over_the_parent_iqr_next_to_the_gain(capsys, change, wins, gain, shown):
+    bench_pairs.summarise([{"parent": result(p), "change": result(c)} for p, c in zip(PARENT, change)])
+    out = capsys.readouterr().out.splitlines()
+    assert "gain  gap / parent IQR" in out[2]
+    row = out[3].split()
+    assert row[0] == "reps_per_s" and row[-6:] == [wins, gain, *shown.split(), "ok"]
+
+
 # quartiles 85 and 115 around a median of 100: an IQR of 30%, wider than a bound of 5%
 WIDE = [70.0, 85.0, 100.0, 115.0, 130.0]
 

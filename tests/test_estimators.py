@@ -189,17 +189,23 @@ def test_squares_equal_libm_pow_bit_for_bit():
     # value as Python's ** does.  pow is not correctly rounded: under glibc it
     # differs from d * d, and so from np.power(d, 2.0), on about 0.08% of
     # these values.  A numpy that vectorised float_power would fail here.
+    # The engine passes pow |d|, the base CPython's float_pow passes it for
+    # a negative d, so that form must give the same bits too.
     rng = np.random.default_rng(20081217)
     d = rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-100.0, 100.0, 10**6)
-    want = [v**2 for v in d.tolist()]
-    assert bits(np.float_power(d, 2.0)) == bits(want)
+    want = bits([v**2 for v in d.tolist()])
+    assert bits(np.float_power(d, 2.0)) == want
+    assert bits(np.float_power(np.abs(d), 2.0)) == want
     # tiny squares, including those that underflow to a subnormal
-    # (|d| < 2**-511) or round to 0 (|d| < 2**-537.5)
+    # (|d| < 2**-511) or round to 0 (|d| < 2**-537.5); the negated edges
+    # bring -0.0 and the negative subnormals -2**-1030 and -2**-1074
     tiny = rng.choice([-1.0, 1.0], 10**4) * 2.0 ** rng.uniform(-560.0, -450.0, 10**4)
-    edges = [2.0**-450, 2.0**-511, 2.0**-537, 2.0**-538, 2.0**-1074, np.nextafter(2.0**-537, 0.0)]
+    edges = [0.0, 2.0**-450, 2.0**-511, 2.0**-537, 2.0**-538, 2.0**-1030, 2.0**-1074, np.nextafter(2.0**-537, 0.0)]
     tiny = np.concatenate([tiny, edges, np.negative(edges), np.nextafter(edges, 1.0)])
     squares = np.float_power(tiny, 2.0)
-    assert bits(squares) == bits([v**2 for v in tiny.tolist()])
+    want = bits([v**2 for v in tiny.tolist()])
+    assert bits(squares) == want
+    assert bits(np.float_power(np.abs(tiny), 2.0)) == want
     assert (squares == 0.0).any() and ((squares > 0.0) & (squares < 2.0**-1022)).any()
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from robustmean import (
     median_of_means,
     parse_config,
     partition,
+    robust_sigma,
     run_experiment,
     sample,
     substream_seed,
@@ -294,6 +296,37 @@ def test_a_replication_builds_each_block_count_once_across_cells(monkeypatch, es
         assert {k for builder, k in builds if builder == "scan"} >= {4, 8}
         if estimators is WEIGHTED_FIRST:
             assert builds[:2] == [("harness", 2), ("harness", 32)]
+
+
+def test_a_replication_computes_one_scale_for_all_its_adaptive_cells(monkeypatch):
+    """Two adaptive cells and a trimmed one: one robust_sigma call per replication, and each
+    replication's errors those of every cell's estimate() run alone."""
+    calls = []  # the samples, kept alive so that their ids stay distinct
+
+    def counted(sample):
+        calls.append(sample)
+        return robust_sigma(sample)
+
+    # wherever the package holds the function, as a caller would reach it
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "robustmean"]:
+        if getattr(module, "robust_sigma", None) is robust_sigma:
+            monkeypatch.setattr(module, "robust_sigma", counted)
+    estimators = (EstimatorSpec("adaptive", p=2.0), EstimatorSpec("trimmed", epsilon=0.02), EstimatorSpec("adaptive", p=1.0))
+    spec = sharing_spec(estimators, replications=4)
+    table = run_experiment(spec)
+    assert len(calls) == len({id(sample) for sample in calls}) == spec.replications
+    alone = {est: [] for est in estimators}
+    for r in range(spec.replications):
+        raw = sample(spec.distribution, spec.n, substream_seed(spec.base_seed, "sample", r))
+        corrupted = contaminate(raw, spec.contamination, substream_seed(spec.base_seed, "contaminate", r))
+        for est in estimators:
+            alone[est].append(estimate(corrupted, est) - spec.distribution.true_mean)
+    for est, errors in alone.items():
+        errors = np.array(errors)
+        for k in spec.k_grid:
+            m = table.metrics(est.kind, k=k, p=est.p if est.kind == "adaptive" else None)
+            assert (m.mean_error, m.max_abs_error) == (errors.mean(), np.abs(errors).max())
+            assert m.rescaled_sd == math.sqrt(spec.n) * errors.std()
 
 
 def test_seed_isolation_changes_errors_not_structure():
