@@ -17,6 +17,11 @@ also gets a regression column: ``worse`` when the change's median is worse
 than the parent's by more than the metric's ``bound`` in BENCHMARK.json,
 else ``unresolved`` when the parent's own interquartile range exceeds that
 bound, else ``ok``.
+In a traced session, each total (every ``*.calls`` metric and those in
+:data:`TOTALS`) gets a second row, ``<total>/call``: the total divided by
+the same run's ``cli.main.calls``.  A faster change fits more calls into
+the timed loop, so its totals grow; its per-call rows stay the same while
+the work per call does.
 Stopped by SIGTERM or an interrupt, the script kills the running benchmark,
 removes what it left, still writes the pairs already done and exits
 nonzero.  Standard library only.
@@ -40,6 +45,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# totals besides the ``*.calls`` metrics; each gets a row per cli.main call
+TOTALS = ("estimators.values_summarised", "estimators.blocks_summarised", "datagen.values_drawn", "cli.bytes_parsed")
+MAIN_CALLS = "cli.main.calls"
+PER_CALL = "/call"
 
 
 def git(*args: str) -> str:
@@ -95,8 +104,24 @@ def bounds() -> dict[str, float]:
 
 
 def metric_name(key: str, table: dict[str, str]) -> str:
-    # with --workload all a key carries the workload's name in front
+    # with --workload all a key carries the workload's name in front; a per-call row reads as its total
+    key = key.removesuffix(PER_CALL)
     return key if key in table else key.split(".", 1)[-1]
+
+
+def with_per_call(metrics: dict[str, float], table: dict[str, str]) -> dict[str, float]:
+    """``metrics`` with each total followed by its ``/call`` row, over the ``cli.main.calls`` of its workload.
+
+    A run without a trace has no ``cli.main.calls`` and gets no such rows.
+    """
+    out = {}
+    for key, value in metrics.items():
+        out[key] = value
+        name = metric_name(key, table)
+        calls = metrics.get(key[: len(key) - len(name)] + MAIN_CALLS)
+        if calls and name != MAIN_CALLS and (name.endswith(".calls") or name in TOTALS):
+            out[key + PER_CALL] = value / calls
+    return out
 
 
 def better(key: str, table: dict[str, str]) -> str | None:
@@ -158,12 +183,15 @@ def summarise(pairs: list[dict]) -> None:
         failed = sum(p[side]["failed"] for p in pairs)
         attempted = sum(p[side]["attempted"] for p in pairs)
         print(f"{side}: {failed} of {attempted} calls failed")
-    keys = [k for k in pairs[0]["parent"]["metrics"] if all(k in p[s]["metrics"] for p in pairs for s in ("parent", "change"))]
-    print(f"{'metric':44} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} {'ratio':>7} {'wins':>6}  gain"
+    runs = [{side: with_per_call({k: m["value"] for k, m in p[side]["metrics"].items()}, table)
+             for side in ("parent", "change")} for p in pairs]
+    keys = [k for k in runs[0]["parent"] if all(k in run[side] for run in runs for side in run)]
+    width = max(44, *map(len, keys))
+    print(f"{'metric':{width}} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} {'ratio':>7} {'wins':>6}  gain"
           f"  {'gap / parent IQR':21}  regression")
     for key in keys:
-        parent = [p["parent"]["metrics"][key]["value"] for p in pairs]
-        change = [p["change"]["metrics"][key]["value"] for p in pairs]
+        parent = [run["parent"][key] for run in runs]
+        change = [run["change"][key] for run in runs]
         (pm, pq1, pq3), (cm, cq1, cq3) = spread(parent), spread(change)
         ratio = f"{cm / pm:7.3f}" if pm else f"{'-':>7}"
         direction, bound = better(key, table), limits.get(metric_name(key, table))
@@ -174,7 +202,7 @@ def summarise(pairs: list[dict]) -> None:
             wins, gain = f"{won}/{len(pairs)}", "yes" if gained else "no"
             moved = "{:9.4g} / {:<9.4g}".format(*gap(parent, change, direction))
         regressed = "-" if direction is None or bound is None else regression(parent, change, direction, bound)
-        print(f"{key:44} {pm:12.6g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.6g} [{cq1:8.4g}, {cq3:8.4g}] {ratio} {wins:>6}  "
+        print(f"{key:{width}} {pm:12.6g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.6g} [{cq1:8.4g}, {cq3:8.4g}] {ratio} {wins:>6}  "
               f"{gain:4}  {moved:21}  {regressed}")
 
 

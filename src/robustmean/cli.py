@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import ESTIMATOR_FIELDS, EstimatorSpec, Sample, estimate
+from .estimators import ESTIMATOR_FIELDS, TOO_LARGE, EstimatorSpec, Sample, estimate
 from .harness import (
     FIGURE_DEFAULT_REPLICATIONS,
     FIGURE_DEFAULT_SEED,
@@ -37,14 +37,11 @@ _CHUNK_CHARS = 1 << 16  # characters read at a time, then the rest of their last
 _COMMENT = re.compile("#[^\n]*")
 
 
-def _parse_lines(lines: list[str], first_lineno: int) -> tuple[list[float], tuple[int, float] | None]:
-    """One chunk's values line by line, with the line and value of its first non-finite one.
+def _raise_at_first(lines: list[str], first_lineno: int, finite: bool) -> None:
+    """Raise the error that names the first line that is not a number, or, with ``finite``, not a finite one.
 
-    ``lines`` have their comments removed already.  Raises the error that
-    names the first line that is not a number.
+    ``lines`` have their comments removed already and hold such a line.
     """
-    values = []
-    non_finite = None
     for lineno, line in enumerate(lines, start=first_lineno):
         text = line.strip()
         if not text:
@@ -53,23 +50,22 @@ def _parse_lines(lines: list[str], first_lineno: int) -> tuple[list[float], tupl
             value = float(text)
         except ValueError:
             raise RuntimeError(f"input line {lineno} is not a number: {text!r}") from None
-        if non_finite is None and not math.isfinite(value):
-            non_finite = (lineno, value)
-        values.append(value)
-    return values, non_finite
+        if finite and not math.isfinite(value):
+            raise RuntimeError(f"input line {lineno} is not a finite number: {value!r}")
 
 
 def _read_numbers(handle) -> np.ndarray:
     """Numbers one per line, ``#`` comments and blank lines skipped.
 
     Each chunk of whole lines goes through ``float`` in one pass, retried
-    once with whitespace-only lines dropped; only a chunk that holds a
-    line ``float`` rejects or the first non-finite value is parsed line
-    by line.  A non-finite value is reported after the whole input has
-    parsed, so a later line that is not a number takes precedence.
+    once with whitespace-only lines dropped; a chunk that fails both holds
+    a line that is not a number, and only then are its lines read one by
+    one to name it.  The first chunk holding a non-finite value is kept and
+    read line by line only after the whole input has parsed, so a later
+    line that is not a number takes precedence.
     """
     chunks = []
-    non_finite = None
+    non_finite = None  # the lines of the first chunk holding a non-finite value, and its first line number
     lineno = 1  # of the first line of the next chunk
     at_end = False
     while not at_end:
@@ -92,18 +88,16 @@ def _read_numbers(handle) -> np.ndarray:
             try:
                 values = np.array(list(map(float, filter(None, map(str.strip, lines)))))
             except ValueError:
-                values = None
-        if values is None or (non_finite is None and not np.isfinite(values).all()):
-            parsed, first = _parse_lines(lines, lineno)
-            values = np.array(parsed)
-            non_finite = non_finite or first
+                _raise_at_first(lines, lineno, finite=False)
+        if non_finite is None and not np.isfinite(values).all():
+            non_finite = (lines, lineno)
         chunks.append(values)
         lineno += len(lines) - 1
     numbers = np.concatenate(chunks)
     if not numbers.size:
         raise RuntimeError("no numbers in input")
     if non_finite is not None:
-        raise RuntimeError(f"input line {non_finite[0]} is not a finite number: {non_finite[1]!r}")
+        _raise_at_first(*non_finite, finite=True)
     return numbers
 
 
@@ -133,11 +127,7 @@ def _cmd_estimate(args) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as handle:
             values = _read_numbers(handle)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = estimate(Sample(values), spec)
-    if not math.isfinite(result):
-        raise OverflowError(result)
-    print(format(result, ".17g"))
+    print(format(estimate(Sample(values), spec), ".17g"))
     return 0
 
 
@@ -176,11 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("input", nargs="?", default=None, help="input file; stdin when omitted. '#' starts a comment")
     est.add_argument("--estimator", required=True, choices=ESTIMATOR_FIELDS)
     est.add_argument("--k", type=int, default=None, help=f"block count ({_kinds_reading('k')})")
-    est.add_argument("--p", type=float, default=None, help=f"weight exponent, default 2 ({_kinds_reading('p')})")
+    est.add_argument("--p", type=float, default=None,
+                     help=f"weight exponent, default {EstimatorSpec.p:g} ({_kinds_reading('p')})")
     est.add_argument("--epsilon", type=float, default=None,
-                     help=f"assumed contamination fraction, default 0 ({_kinds_reading('epsilon')})")
+                     help=f"assumed contamination fraction, default {EstimatorSpec.epsilon:g} ({_kinds_reading('epsilon')})")
     est.add_argument("--C", dest="contamination_bound", type=float, default=None,
-                     help=f"assumed corrupted-block bound, default 0.5 ({_kinds_reading('contamination_bound')})")
+                     help=f"assumed corrupted-block bound, default {EstimatorSpec.contamination_bound:g} "
+                          f"({_kinds_reading('contamination_bound')})")
     est.set_defaults(run=_cmd_estimate)
 
     table = argparse.ArgumentParser(add_help=False)  # options of the commands that print a results table
@@ -223,7 +215,7 @@ def main(argv=None) -> int:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
     except OverflowError:
-        print("error: the numbers are too large to summarise: squaring or summing them overflows", file=sys.stderr)
+        print(f"error: {TOO_LARGE}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - anything else is a runtime failure
         print(f"error: {exc}", file=sys.stderr)

@@ -119,8 +119,8 @@ class ContaminationSpec:
 
 def sample(dist: DistributionSpec, n: int, seed: int) -> Sample:
     """Draw ``n`` observations; identical inputs give identical bits."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not is_int(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     rng = generator(seed)
     if dist.kind == "normal":
         values = rng.normal(dist.mean, dist.sd, n)

@@ -30,6 +30,10 @@ ESTIMATOR_FIELDS = {
 }
 
 
+# What :func:`estimate` raises, as ``OverflowError``, when a finite sample has no finite estimate.
+TOO_LARGE = "the numbers are too large to summarise: squaring or summing them overflows"
+
+
 def require_finite(spec, fields) -> None:
     """Raise ValueError naming the first of ``fields`` on ``spec`` that is not a finite real number.
 
@@ -42,8 +46,8 @@ def require_finite(spec, fields) -> None:
 
 
 def is_int(value) -> bool:
-    """Whether ``value`` is an ``int`` and not a ``bool``, which Python counts as one."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether ``value`` is an integer, Python's or numpy's, and not a ``bool``, which Python counts as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_fields(spec, fields) -> None:
@@ -163,7 +167,9 @@ def partition(n: int, k: int) -> BlockPartition:
     The first ``n % k`` blocks absorb the remainder, so sizes are
     non-increasing from left to right.
     """
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+    if not is_int(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k} for n={n}")
     sizes = np.full(k, n // k, dtype=np.int64)
     sizes[: n % k] += 1
@@ -447,15 +453,26 @@ def estimate(
     adaptive kind too, so cells that share a sample share one scale; None
     computes it with :func:`~robustmean.adaptive.robust_sigma`.  The other
     kinds read neither.
-    """
-    if spec.kind == "weighted":
-        return weighted_mean(block_summaries(sample, partition(sample.n, spec.k)), spec.p)
-    if spec.kind == "mom":
-        return median_of_means(block_summaries(sample, partition(sample.n, spec.k)))
-    if spec.kind == "trimmed":
-        return trimmed_mean(sample, spec.epsilon)
-    # adaptive: imported here because that module builds on this one
-    from .adaptive import AdaptiveConfig, adaptive_estimate
 
-    config = AdaptiveConfig(p=spec.p, contamination_bound=spec.contamination_bound)
-    return adaptive_estimate(sample, config, levels, scale)
+    An overflow on the way, whether the kind would raise or return ``inf``
+    or ``nan``, raises ``OverflowError(TOO_LARGE)`` without a numpy warning.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.kind == "weighted":
+                result = weighted_mean(block_summaries(sample, partition(sample.n, spec.k)), spec.p)
+            elif spec.kind == "mom":
+                result = median_of_means(block_summaries(sample, partition(sample.n, spec.k)))
+            elif spec.kind == "trimmed":
+                result = trimmed_mean(sample, spec.epsilon)
+            else:
+                # adaptive: imported here because that module builds on this one
+                from .adaptive import AdaptiveConfig, adaptive_estimate
+
+                config = AdaptiveConfig(p=spec.p, contamination_bound=spec.contamination_bound)
+                result = adaptive_estimate(sample, config, levels, scale)
+    except OverflowError as exc:
+        raise OverflowError(TOO_LARGE) from exc
+    if not math.isfinite(result):
+        raise OverflowError(TOO_LARGE)
+    return result

@@ -278,32 +278,21 @@ def _format_cell(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _row_fields(row: ResultRow) -> dict:
+def _row_values(row: ResultRow) -> tuple:
+    """The row's fields in :data:`CSV_COLUMNS` order."""
     m = row.metrics
-    return {
-        "estimator": row.estimator,
-        "p": row.p,
-        "k": row.k,
-        "O": row.outliers,
-        "N": row.n,
-        "replications": m.replications,
-        "mean_error": m.mean_error,
-        "mean_abs_error": m.mean_abs_error,
-        "rescaled_sd": m.rescaled_sd,
-        "max_abs_error": m.max_abs_error,
-        "base_seed": row.base_seed,
-    }
+    return (row.estimator, row.p, row.k, row.outliers, row.n, m.replications,
+            m.mean_error, m.mean_abs_error, m.rescaled_sd, m.max_abs_error, row.base_seed)
 
 
 def _write_rows(rows: list[ResultRow], handle, fmt: str) -> None:
     if fmt == "csv":
         handle.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            fields = _row_fields(row)
-            handle.write(",".join(_format_cell(fields[column]) for column in CSV_COLUMNS) + "\n")
+            handle.write(",".join(map(_format_cell, _row_values(row))) + "\n")
     else:
         for row in rows:
-            handle.write(json.dumps(_row_fields(row)) + "\n")
+            handle.write(json.dumps(dict(zip(CSV_COLUMNS, _row_values(row)))) + "\n")
 
 
 def emit_results(table: ExperimentTable, fmt: str, destination) -> None:

@@ -88,6 +88,32 @@ def test_summary_prints_the_gap_over_the_parent_iqr_next_to_the_gain(capsys, cha
     assert row[0] == "reps_per_s" and row[-6:] == [wins, gain, *shown.split(), "ok"]
 
 
+def traced(calls, bytes_per_call, prefix):
+    metrics = {"cli.main.calls": (calls, "count"), "cli.bytes_parsed": (calls * bytes_per_call, "bytes"),
+               "trace.wall_s": (10.0, "s")}
+    return {"failed": 0, "attempted": calls,
+            "metrics": {prefix + key: {"value": value, "unit": unit} for key, (value, unit) in metrics.items()}}
+
+
+@pytest.mark.parametrize("prefix", ["", "estimate_cli."], ids=["one-workload", "all-workloads"])
+def test_per_call_rows_read_ratio_one_when_a_change_runs_more_calls_of_the_same_work(capsys, prefix):
+    pairs = [{"parent": traced(100, 4096, prefix), "change": traced(120, 4096, prefix)} for _ in range(3)]
+    bench_pairs.summarise(pairs)
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[3:]}
+    # the ratio is the seventh column from the right
+    assert rows[prefix + "cli.bytes_parsed"][-7] == "1.200"
+    assert prefix + "cli.main.calls/call" not in rows
+    assert rows[prefix + "cli.bytes_parsed/call"][-7] == "1.000"
+    assert rows[prefix + "cli.bytes_parsed/call"][1] == "4096"
+    assert prefix + "trace.wall_s/call" not in rows
+
+
+def test_untraced_runs_get_no_per_call_rows():
+    table = bench_pairs.directions()
+    metrics = {"reps_per_s": 700.0, "estimators.block_summaries.calls": 50.0}
+    assert bench_pairs.with_per_call(metrics, table) == metrics
+
+
 # quartiles 85 and 115 around a median of 100: an IQR of 30%, wider than a bound of 5%
 WIDE = [70.0, 85.0, 100.0, 115.0, 130.0]
 

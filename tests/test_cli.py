@@ -280,8 +280,8 @@ def test_chunked_reader_matches_the_line_loop(lines, final_newline, chunk_chars)
 @pytest.mark.parametrize("blank", ["  # indented note", "\t", "\r"], ids=["indented-comment", "tab", "carriage-return"])
 def test_whitespace_only_lines_stay_off_the_line_loop(monkeypatch, blank):
     line_loop_calls = []
-    line_loop = cli._parse_lines
-    monkeypatch.setattr(cli, "_parse_lines", lambda *args: line_loop_calls.append(args) or line_loop(*args))
+    line_loop = cli._raise_at_first
+    monkeypatch.setattr(cli, "_raise_at_first", lambda *args, **kwargs: line_loop_calls.append(args) or line_loop(*args, **kwargs))
     data = "".join(f"{i}.5\n" + (blank + "\n" if i % 100 == 0 else "") for i in range(2000))
     # a newline of one line feed reads as stdin does on Linux, keeping the "\r"
     handle = io.TextIOWrapper(io.BytesIO(data.encode("utf-8")), encoding="utf-8", newline="\n")

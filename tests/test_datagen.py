@@ -86,9 +86,10 @@ def test_single_normal_draw_reproducible():
     assert one.shape == (1,) and one[0] == two[0] and np.isfinite(one[0])
 
 
-def test_sample_rejects_empty():
-    with pytest.raises(ValueError):
-        sample(DistributionSpec.normal(), 0, 1)
+@pytest.mark.parametrize("n", [0, -1, True, 2.0], ids=["zero", "negative", "bool", "float"])
+def test_sample_rejects_empty(n):
+    with pytest.raises(ValueError, match=f"n must be a positive integer, got {n!r}"):
+        sample(DistributionSpec.normal(), n, 1)
 
 
 def test_half_t_standardized_large_sample():

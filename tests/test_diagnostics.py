@@ -101,6 +101,12 @@ def test_outlier_magnitude_requires_mask():
         outlier_magnitude(Sample(np.arange(4.0)), partition(4, 2), 1.0)
 
 
+def test_outlier_magnitude_rejects_a_partition_of_another_length():
+    s = Sample(np.arange(4.0), outlier_mask=np.array([False, True, False, False]))
+    with pytest.raises(ValueError, match="^partition does not cover this sample$"):
+        outlier_magnitude(s, partition(6, 2), 1.0)
+
+
 def test_outlier_magnitude_rejects_bad_sigma():
     s = Sample(np.arange(4.0), outlier_mask=np.zeros(4, dtype=bool))
     with pytest.raises(ValueError):

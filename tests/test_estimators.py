@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -48,10 +49,18 @@ def test_partition_single_block():
     assert partition(4, 1).blocks() == [(0, 4)]
 
 
-@pytest.mark.parametrize("n,k", [(6, 0), (6, 7), (6, -1)])
-def test_partition_rejects_bad_k(n, k):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "n,k,message",
+    [(6, 0, "need 1 <= k <= n"), (6, 7, "need 1 <= k <= n"), (6, -1, "need 1 <= k <= n"),
+     (6, True, "k must be an integer, got True"), (6, 2.0, "k must be an integer, got 2.0")],
+)
+def test_partition_rejects_bad_k(n, k, message):
+    with pytest.raises(ValueError, match=message):
         partition(n, k)
+
+
+def test_partition_accepts_a_numpy_integer_k():
+    assert partition(6, np.int64(2)).sizes.tolist() == [3, 3]
 
 
 @given(st.integers(1, 500), st.data())
@@ -104,6 +113,14 @@ def test_block_summaries_read_as_a_list_of_summaries():
     assert got.means.tolist() == [2.0, 5.75] and got.sizes.tolist() == [3, 2]
     with pytest.raises(IndexError):
         got[2]
+
+
+def test_block_summaries_repr_and_foreign_equality():
+    got = summaries_of([1.0, 3.0], 1)
+    assert repr(got) == "BlockSummaries([BlockSummary(mean=2.0, sd=1.0, size=2)])"
+    # neither side knows how to compare, so == falls back to identity
+    assert got.__eq__(3) is NotImplemented
+    assert (got == 3) is False and (got != 3) is True
 
 
 def test_block_summaries_length_mismatch():
@@ -548,6 +565,25 @@ def test_estimate_dispatch_hand_values():
     assert estimate(Sample(np.array([1.0, 2.0, 3.0, 4.0])), EstimatorSpec("weighted", k=2, p=1.0)) == 2.5
     assert estimate(Sample(np.arange(1.0, 7.0)), EstimatorSpec("mom", k=3)) == 3.5
     assert estimate(Sample(np.arange(1.0, 21.0)), EstimatorSpec("trimmed")) == 10.5
+
+
+@pytest.mark.parametrize(
+    "values, spec",
+    [
+        ([1.7e308] * 30 + [1.6e308] * 30, EstimatorSpec("mom", k=2)),  # the central pair's average is inf
+        ([1.7e308] * 30 + [1.6e308] * 30, EstimatorSpec("trimmed", epsilon=0.0)),  # the sum is inf
+        ([1.7e308, -1.7e308] * 300, EstimatorSpec("trimmed", epsilon=0.1)),  # inf - inf is nan
+        ([1.7e308, -1.7e308] * 300, EstimatorSpec("adaptive")),  # the scan's squares raise
+        ([1e160, -2e160, 3e160, 5e159], EstimatorSpec("weighted", k=2)),  # the squares raise
+    ],
+    ids=["mom-inf", "trimmed-inf", "trimmed-nan", "adaptive-raises", "weighted-raises"],
+)
+def test_estimate_raises_one_overflow_error_for_numbers_too_large_to_summarise(values, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as err:
+            estimate(Sample(np.array(values)), spec)
+    assert err.value.args == ("the numbers are too large to summarise: squaring or summing them overflows",)
 
 
 @given(

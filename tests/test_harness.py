@@ -512,6 +512,23 @@ def test_parse_config_reports_a_kind_that_is_not_a_string():
     ]
 
 
+@pytest.mark.parametrize(
+    "change, errors",
+    [
+        ({"distribution": ["half_t", 4.0]}, ["distribution: must be an object"]),
+        ({"estimators": [{"kind": "mom"}, "weighted"]}, ["estimators[1]: must be an object"]),
+        ({"contamination": 10}, ["contamination: must be an object"]),
+        ({"contamination": {"count": 10, "values": 1000.0}}, ["contamination.values: unknown field"]),
+        ({"estimators": {"kind": "mom"}}, ["estimators: must be an array"]),
+    ],
+    ids=["distribution", "estimator-entry", "contamination", "contamination-field", "estimators"],
+)
+def test_parse_config_reports_a_part_of_the_wrong_shape(change, errors):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({**GOOD_CONFIG, **change}))
+    assert err.value.errors == errors
+
+
 def test_parse_config_reports_each_problem_once():
     payload = {key: value for key, value in GOOD_CONFIG.items() if key != "N"}
     payload["replications"] = 0
