@@ -181,14 +181,27 @@ class BlockSummaries(Sequence):
 
     The blockwise estimators read the arrays.  Indexing and iteration build
     :class:`BlockSummary` values on demand, and the sequence compares equal
-    to a list of equal summaries.
+    to a list of equal summaries.  The arrays are read, never written:
+    the weights at every ``p`` share one base computed from them once.
     """
 
-    __slots__ = ("means", "sds", "sizes")
+    __slots__ = ("means", "sds", "sizes", "_base")
     __hash__ = None
 
     def __init__(self, means: np.ndarray, sds: np.ndarray, sizes: np.ndarray):
         self.means, self.sds, self.sizes = means, sds, sizes
+        self._base = None
+
+    def _weight_base(self) -> tuple[float | None, np.ndarray]:
+        """``(None, quiet indicator)`` or ``(ref, ref / sds)``, kept: see :func:`_inverse_power_ratios`."""
+        if self._base is None:
+            quiet = self.sds <= QUIET_RELATIVE_SD * np.abs(self.means).max()
+            if quiet.any():
+                self._base = None, quiet.astype(np.float64)
+            else:
+                ref = self.sds.min()
+                self._base = ref, ref / self.sds
+        return self._base
 
     def __len__(self) -> int:
         return self.means.size
@@ -241,6 +254,8 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     ``total`` is one rounding of the exact sum, or when the leftover plus
     ``bound`` is under half the gap from ``total`` to its nearer
     neighbour.  Uncertified rows must be summed by ``math.fsum``.
+    ``certified`` is one ``np.True_`` for every row when the two passes
+    left no residual, else an array with one flag per row.
 
     Every ``amax`` must lie in [2**-900, 2**900), where ``sigma`` neither
     overflows nor underflows; see :data:`_ROW_RANGE`.
@@ -259,7 +274,7 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     second = np.add.reduceat(high, starts)
     if not rest.any():
         # the two passes took every value whole: the residual clause for every row at once
-        return first + second, np.ones(starts.size, dtype=bool)
+        return first + second, np.True_
     residual = np.add.reduceat(rest, starts)
     bound = np.add.reduceat(np.abs(rest, out=rest), starts) * (sizes * 2.0**-51)
     head, tail = _two_sum(first, second)
@@ -284,31 +299,46 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
 _ROW_RANGE = (2.0**-390, 2.0**448)
 
 
+def _array_stats(
+    y: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.ndarray, means: np.ndarray, sds: np.ndarray
+) -> np.ndarray:
+    """The array path: write each row's mean and sd (rows as in :func:`_exact_sums`); whether both its sums are certified."""
+    sums, certified = _exact_sums(y, starts, sizes, amax)
+    np.divide(sums, sizes, out=means)
+    # float_power calls libm pow per value, as Python's ** does (np.power squares by
+    # d * d), and on |d|, which is what CPython's float_pow hands pow for a negative d
+    squares = y - np.repeat(means, sizes)
+    np.float_power(np.abs(squares, out=squares), 2.0, out=squares)
+    square_sums, square_certified = _exact_sums(squares, starts, sizes, np.maximum.reduceat(squares, starts))
+    np.sqrt(np.divide(square_sums, sizes, out=sds), out=sds)
+    return certified & square_certified
+
+
 def _rows_stats(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.ndarray) -> None:
-    """Write the mean and sd of each block of ``x``: blocks at ``starts`` of ``sizes`` values, covering ``x``; ``sds`` start at 0."""
+    """Write the mean and sd of each block of ``x``: blocks at ``starts`` of ``sizes`` values, covering ``x``; ``sds`` start at 0.
+
+    A run of rows only (not constant, largest |value| in :data:`_ROW_RANGE`)
+    writes straight into ``means`` and ``sds``; masks, the gathered rows and the
+    :func:`_fsum_stats` list are built only for a block that is not a row
+    or whose sums are not certified.
+    """
     low = np.minimum.reduceat(x, starts)
     high = np.maximum.reduceat(x, starts)
     amax = np.maximum(high, -low)
-    constant = low == high
-    rows = ~constant & (amax >= _ROW_RANGE[0]) & (amax < _ROW_RANGE[1])
-    if constant.any():
+    rows = (low != high) & (amax >= _ROW_RANGE[0]) & (amax < _ROW_RANGE[1])
+    if rows.all():
+        fallback = ~_array_stats(x, starts, sizes, amax, means, sds)
+    else:
+        constant = low == high
         means[constant] = x[starts[constant]]
-    fallback = ~constant & ~rows
-    if rows.any():
-        y, row_starts, row_sizes = x, starts, sizes
-        if not rows.all():
-            y, row_sizes = x[np.repeat(rows, sizes)], sizes[rows]
+        fallback = ~constant
+        if rows.any():
+            row_sizes = sizes[rows]
+            row_means, row_sds = np.empty(row_sizes.size), np.empty(row_sizes.size)
             row_starts = np.cumsum(row_sizes) - row_sizes
-        sums, certified = _exact_sums(y, row_starts, row_sizes, amax[rows])
-        row_means = sums / row_sizes
-        # float_power calls libm pow per value, as Python's ** does (np.power squares by
-        # d * d), and on |d|, which is what CPython's float_pow hands pow for a negative d
-        squares = y - np.repeat(row_means, row_sizes)
-        np.float_power(np.abs(squares, out=squares), 2.0, out=squares)
-        square_sums, square_certified = _exact_sums(squares, row_starts, row_sizes, np.maximum.reduceat(squares, row_starts))
-        means[rows] = row_means
-        sds[rows] = np.sqrt(square_sums / row_sizes)
-        fallback[rows] = ~(certified & square_certified)
+            certified = _array_stats(x[np.repeat(rows, sizes)], row_starts, row_sizes, amax[rows], row_means, row_sds)
+            means[rows], sds[rows] = row_means, row_sds
+            fallback[rows] = ~certified
     if fallback.any():
         for j in np.flatnonzero(fallback):
             means[j], sds[j] = _fsum_stats(x[starts[j] : starts[j] + sizes[j]])
@@ -316,7 +346,8 @@ def _rows_stats(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, means: np.
 
 # The engine runs over runs of whole blocks holding about this many values,
 # so its temporaries stay a few arrays of this length (or of one longer block).
-_RUN_VALUES = 8192
+# A sample of at most this many values is one run.
+_RUN_VALUES = 2**15
 
 
 def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
@@ -337,9 +368,11 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
     bounds = part.boundaries
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     means, sds = np.empty(part.k), np.zeros(part.k)
-    # a run starts at each block that starts in a new window of _RUN_VALUES
-    windows = starts // _RUN_VALUES
-    cuts = (np.flatnonzero(windows[1:] != windows[:-1]) + 1).tolist()
+    cuts = []
+    if values.size > _RUN_VALUES:
+        # a run starts at each block that starts in a new window of _RUN_VALUES
+        windows = starts // _RUN_VALUES
+        cuts = (np.flatnonzero(windows[1:] != windows[:-1]) + 1).tolist()
     for a, b in zip([0, *cuts], [*cuts, part.k]):
         lo = bounds[a]
         _rows_stats(values[lo : bounds[b]], starts[a:b] - lo, sizes[a:b], means[a:b], sds[a:b])
@@ -373,17 +406,16 @@ def _inverse_power_ratios(summaries: Sequence[BlockSummary], p: float) -> tuple[
     A zero-sd block would take infinite weight, so when a quiet block (sd
     at most :data:`QUIET_RELATIVE_SD` times the largest ``|mean|``; exactly
     0 counts) exists, ``ref`` is 0 and the ratios are the indicator of the
-    quiet blocks: the limit of the weights as sd -> 0+.
+    quiet blocks: the limit of the weights as sd -> 0+.  The quiet test and
+    ``ref / sd`` do not depend on ``p``, so :class:`BlockSummaries` keep
+    them for every later call.
     """
     if not 1 <= p < math.inf:
         raise ValueError("p must be a finite number >= 1")
-    arrays = _block_arrays(summaries)
-    means, sds = arrays.means, arrays.sds
-    quiet = sds <= QUIET_RELATIVE_SD * np.abs(means).max()
-    if quiet.any():
-        return 0.0, quiet.astype(np.float64)
-    ref = sds.min()
-    return ref, (ref / sds) ** p
+    ref, base = _block_arrays(summaries)._weight_base()
+    if ref is None:
+        return 0.0, base
+    return ref, base**p
 
 
 def block_weights(summaries: Sequence[BlockSummary], p: float) -> np.ndarray:
@@ -399,7 +431,8 @@ def block_weights(summaries: Sequence[BlockSummary], p: float) -> np.ndarray:
 def weighted_mean(summaries: Sequence[BlockSummary], p: float) -> float:
     """Average of block means under :func:`block_weights`."""
     summaries = _block_arrays(summaries)
-    return float(block_weights(summaries, p) @ summaries.means)
+    # ndarray.dot calls the same BLAS ddot as @, without the ufunc machinery
+    return float(block_weights(summaries, p).dot(summaries.means))
 
 
 def median_of_means(summaries: Sequence[BlockSummary]) -> float:

@@ -19,6 +19,7 @@ from .adaptive import ROBUST_SIGMA_MIN_N, ScaleEstimate, robust_sigma
 from .datagen import DISTRIBUTION_FIELDS, ContaminationSpec, DistributionSpec, contaminate, sample
 from .estimators import (
     ESTIMATOR_FIELDS,
+    TOO_LARGE,
     BlockSummaries,
     EstimatorSpec,
     _trim_cut,
@@ -192,6 +193,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     adaptive scan reads them, and at most once: its cells share them.
     Its ``adaptive`` cells likewise share one :func:`robust_sigma`, computed
     when the first of them runs.
+
+    Every cell keeps :func:`estimate`'s overflow rule: a value that
+    overflows raises ``OverflowError(TOO_LARGE)`` without a numpy warning.
     """
     problems = validate_spec(spec)
     if problems:
@@ -200,23 +204,26 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     errors = np.empty((spec.replications, len(spec.estimators), len(spec.k_grid)))
     true_mean = spec.distribution.true_mean
     parts = {k: partition(spec.n, k) for k in spec.k_grid}
-    for r in range(spec.replications):
-        raw = sample(spec.distribution, spec.n, substream_seed(spec.base_seed, "sample", r))
-        corrupted = contaminate(raw, spec.contamination, substream_seed(spec.base_seed, "contaminate", r))
-        # this replication's summaries by block count and its scale, shared by every cell
-        summaries: dict[int, BlockSummaries] = {}
-        scale: ScaleEstimate | None = None
-        for est, row in zip(spec.estimators, errors[r]):
-            if "k" not in ESTIMATOR_FIELDS[est.kind]:
-                if est.kind == "adaptive" and scale is None:
-                    scale = robust_sigma(corrupted)
-                row[:] = estimate(corrupted, est, summaries, scale) - true_mean
-                continue
-            for j, k in enumerate(spec.k_grid):
-                if k not in summaries:
-                    summaries[k] = block_summaries(corrupted, parts[k])
-                value = weighted_mean(summaries[k], est.p) if est.kind == "weighted" else median_of_means(summaries[k])
-                row[j] = value - true_mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(spec.replications):
+            raw = sample(spec.distribution, spec.n, substream_seed(spec.base_seed, "sample", r))
+            corrupted = contaminate(raw, spec.contamination, substream_seed(spec.base_seed, "contaminate", r))
+            # this replication's summaries by block count and its scale, shared by every cell
+            summaries: dict[int, BlockSummaries] = {}
+            scale: ScaleEstimate | None = None
+            for est, row in zip(spec.estimators, errors[r]):
+                if "k" not in ESTIMATOR_FIELDS[est.kind]:
+                    if est.kind == "adaptive" and scale is None:
+                        scale = robust_sigma(corrupted)
+                    row[:] = estimate(corrupted, est, summaries, scale) - true_mean
+                    continue
+                for j, k in enumerate(spec.k_grid):
+                    if k not in summaries:
+                        summaries[k] = block_summaries(corrupted, parts[k])
+                    value = weighted_mean(summaries[k], est.p) if est.kind == "weighted" else median_of_means(summaries[k])
+                    if not math.isfinite(value):
+                        raise OverflowError(TOO_LARGE)
+                    row[j] = value - true_mean
 
     rows = []
     for i, est in enumerate(spec.estimators):

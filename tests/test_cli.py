@@ -345,6 +345,24 @@ def test_estimate_non_finite_result_exits_1_with_the_overflow_line(tmp_path, cap
     assert captured.err == "error: the numbers are too large to summarise: squaring or summing them overflows\n"
 
 
+def test_simulate_non_finite_cell_exits_1_with_the_overflow_line(tmp_path, capsys):
+    # at k=N every block is one value, and averaging the central pair of
+    # means near 1.7e308 overflows, as it does for `estimate`
+    payload = dict(GOOD_CONFIG, N=60, distribution={"kind": "normal", "mean": 1.7e308, "sd": 1.0},
+                   contamination={"count": 0, "value": 0.0}, k_grid=[60], estimators=[{"kind": "mom"}])
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "huge.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the numbers are too large to summarise: squaring or summing them overflows\n"
+
+
 def test_unknown_subcommand_and_flag_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["estimate", "--no-such-flag"]) == 2

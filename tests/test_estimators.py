@@ -26,6 +26,7 @@ from robustmean import (
     weighted_mean,
 )
 import robustmean.estimators
+from robustmean.adaptive import harmonic_mean_inverse
 from robustmean.estimators import BlockSummaries, _exact_sums
 
 
@@ -329,7 +330,7 @@ def test_huge_values_raise_the_fsum_loops_overflow_error(values, k):
 
 def test_one_out_of_range_block_alone_runs_the_fsum_loop(monkeypatch):
     # 2**505 is above the array path's range, so its block runs the fsum
-    # loop; the other 127 blocks of its run of 8192 values stay on the arrays
+    # loop; the other 255 blocks, one run of 16,384 values, stay on the arrays
     x = np.random.default_rng(505).standard_normal(16384)
     x[5000] = 2.0**505
     part = partition(x.size, 256)
@@ -363,17 +364,122 @@ def test_blocks_at_the_edges_of_the_array_path_equal_the_fsum_loop(exponent):
 @pytest.mark.parametrize("k", [1, 2, 25, 256, 2500, 20000])
 @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
 def test_engine_at_realistic_sizes_equals_the_fsum_loop(scale, k):
-    # 20,000 values span three windows of _RUN_VALUES; both scales keep
-    # every block inside _ROW_RANGE
-    x = sample(DistributionSpec.half_t(4), 20000, seed=20000).values.copy()
-    rng = np.random.default_rng(20000)
+    # 20,000 values are one run of _RUN_VALUES; both scales keep every
+    # block inside _ROW_RANGE
+    assert_engine_equals_the_fsum_loop(contaminated_half_t(20000) * scale, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 256, 7000, 70000])
+def test_engine_over_three_windows_equals_the_fsum_loop(k):
+    # 70,000 values span three windows of _RUN_VALUES = 2**15; at k=2 each
+    # block is longer than a window, and at k=3 blocks straddle their edges
+    assert_engine_equals_the_fsum_loop(contaminated_half_t(70000), k)
+
+
+def contaminated_half_t(n):
+    x = sample(DistributionSpec.half_t(4), n, seed=n).values.copy()
+    rng = np.random.default_rng(n)
     x[rng.choice(x.size, 100, replace=False)] = rng.choice([1e3, 1e5], 100)
-    x *= scale
+    return x
+
+
+def assert_engine_equals_the_fsum_loop(x, k):
     part = partition(x.size, k)
     got = block_summaries(Sample(x), part)
     want_means, want_sds = oracle_block_stats(x, part)
     assert bits(got.means) == bits(want_means)
     assert bits(got.sds) == bits(want_sds)
+
+
+# Blocks that leave the common path: a run holding only rows (not constant,
+# inside _ROW_RANGE) writes its results straight out and runs the fsum loop
+# only for uncertified blocks; a constant or out-of-range block makes the
+# run gather its rows and scatter them back.
+SPECIAL_BLOCKS = {
+    "constant": np.full(50, 3.25),
+    "out-of-range": np.append(np.linspace(-1.0, 1.0, 49), 2.0**505),
+    # the sum's extraction leaves 2**-150 over a rounding midpoint
+    "uncertified": np.array([1.0, 2.0**-53, 2.0**-150]),
+    # the sum, 0, is exact; the squares sum to 2 + 2**-52 + 2**-149, past the midpoint above 2
+    "squares-uncertified": np.array([1.0, -1.0, 2.0**-27, -(2.0**-27), 2.0**-27, -(2.0**-27), 2.0**-75, -(2.0**-75)]),
+}
+
+
+def test_the_special_blocks_leave_the_common_path_where_they_should():
+    row = SPECIAL_BLOCKS["uncertified"]
+    assert not _exact_sums(row, np.array([0]), np.array([3]), np.array([1.0]))[1].all()
+    block = SPECIAL_BLOCKS["squares-uncertified"]
+    one = (np.array([0]), np.array([8]), np.array([1.0]))
+    total, certified = _exact_sums(block, *one)
+    assert total[0] == 0.0 and certified is np.True_
+    total, certified = _exact_sums(np.float_power(np.abs(block), 2.0), *one)
+    assert not certified.all() and math.fsum((block**2).tolist()) == 2.0 + 2.0**-51 != total[0]
+
+
+@pytest.mark.parametrize("n, runs", [(5000, 1), (103300, 4)], ids=["one-run", "four-runs"])
+@pytest.mark.parametrize("kinds", [[name] for name in SPECIAL_BLOCKS] + [list(SPECIAL_BLOCKS)],
+                         ids=[*SPECIAL_BLOCKS, "all"])
+def test_runs_mixing_ordinary_and_special_blocks_equal_the_fsum_loop(monkeypatch, n, runs, kinds):
+    # ordinary blocks of 50 half-t values, with each special block planted
+    # in the first run and near the end of the last
+    ordinary = np.split(contaminated_half_t(n), n // 50)
+    planted = {0: [], len(ordinary) - 3: []}
+    for name in kinds:
+        for where in planted:
+            planted[where].append(SPECIAL_BLOCKS[name])
+    blocks = []
+    for j, block in enumerate(ordinary):
+        blocks += [block, *planted.get(j, [])]
+    x = np.concatenate(blocks)
+    part = BlockPartition(np.cumsum([0, *map(len, blocks)]))
+    fsum_stats = robustmean.estimators._fsum_stats
+    calls = []
+    monkeypatch.setattr(robustmean.estimators, "_fsum_stats", lambda block: calls.append(block.size) or fsum_stats(block))
+    got, taken = summaries_in_runs(x, part, robustmean.estimators._RUN_VALUES)
+    want_means, want_sds = oracle_block_stats(x, part)
+    assert bits(got.means) == bits(want_means)
+    assert bits(got.sds) == bits(want_sds)
+    assert len(taken) == runs
+    assert sorted(calls) == sorted(2 * [SPECIAL_BLOCKS[name].size for name in kinds if name != "constant"])
+
+
+# ------------------------------------------------------------- weight base
+
+
+def todays_weights(means, sds, p):
+    """The weights computed afresh: the quiet indicator, or ``(ref / sds) ** p``, normalised."""
+    quiet = sds <= robustmean.estimators.QUIET_RELATIVE_SD * np.abs(means).max()
+    ratios = quiet.astype(np.float64) if quiet.any() else (sds.min() / sds) ** p
+    return ratios / ratios.sum()
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["loud", "quiet"])
+def test_weights_at_every_p_share_one_base_bit_for_bit(quiet):
+    x = contaminated_half_t(2500)
+    if quiet:
+        x[100:200] = 7.0  # one constant block
+    part = partition(x.size, 25)
+
+    def fresh():
+        return block_summaries(Sample(x), part)
+
+    shared = fresh()
+    as_list = list(shared)
+    for p in (2.0, 1.0, 2.0, 3.0):
+        want = weighted_mean(fresh(), p)
+        assert bits([weighted_mean(shared, p)]) == bits([want]) == bits([weighted_mean(as_list, p)])
+        assert bits([want]) == bits([float(todays_weights(shared.means, shared.sds, p) @ shared.means)])
+    for p in (1.0, 2.5):
+        assert bits(block_weights(shared, p)) == bits(block_weights(fresh(), p)) == bits(block_weights(as_list, p))
+        assert bits(block_weights(shared, p)) == bits(todays_weights(shared.means, shared.sds, p))
+        want = harmonic_mean_inverse(fresh(), p)
+        assert bits([harmonic_mean_inverse(shared, p)]) == bits([want]) == bits([harmonic_mean_inverse(as_list, p)])
+    assert (harmonic_mean_inverse(shared, 2.0) == 0.0) == quiet
+    # every other block, as strided views of the arrays, takes the same path as a copy
+    strided = BlockSummaries(shared.means[::2], shared.sds[::2], shared.sizes[::2])
+    for p in (1.0, 2.0):
+        want = float(todays_weights(strided.means, strided.sds, p) @ strided.means)
+        assert bits([weighted_mean(strided, p)]) == bits([want]) == bits([weighted_mean(list(strided), p)])
 
 
 # ------------------------------------------------------------ weighted mean
