@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -30,7 +31,7 @@ ESTIMATOR_FIELDS = {
 }
 
 
-# What :func:`estimate` raises, as ``OverflowError``, when a finite sample has no finite estimate.
+# What :func:`finite_or_too_large` raises, as ``OverflowError``, when a finite sample has no finite estimate.
 TOO_LARGE = "the numbers are too large to summarise: squaring or summing them overflows"
 
 
@@ -183,6 +184,7 @@ class BlockSummaries(Sequence):
     :class:`BlockSummary` values on demand, and the sequence compares equal
     to a list of equal summaries.  The arrays are read, never written:
     the weights at every ``p`` share one base computed from them once.
+    The arrays :func:`block_summaries` makes, and the base, are read-only.
     """
 
     __slots__ = ("means", "sds", "sizes", "_base")
@@ -197,10 +199,12 @@ class BlockSummaries(Sequence):
         if self._base is None:
             quiet = self.sds <= QUIET_RELATIVE_SD * np.abs(self.means).max()
             if quiet.any():
-                self._base = None, quiet.astype(np.float64)
+                ref, base = None, quiet.astype(np.float64)
             else:
                 ref = self.sds.min()
-                self._base = ref, ref / self.sds
+                base = ref / self.sds
+            base.setflags(write=False)
+            self._base = ref, base
         return self._base
 
     def __len__(self) -> int:
@@ -254,8 +258,6 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     ``total`` is one rounding of the exact sum, or when the leftover plus
     ``bound`` is under half the gap from ``total`` to its nearer
     neighbour.  Uncertified rows must be summed by ``math.fsum``.
-    ``certified`` is one ``np.True_`` for every row when the two passes
-    left no residual, else an array with one flag per row.
 
     Every ``amax`` must lie in [2**-900, 2**900), where ``sigma`` neither
     overflows nor underflows; see :data:`_ROW_RANGE`.
@@ -274,7 +276,7 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     second = np.add.reduceat(high, starts)
     if not rest.any():
         # the two passes took every value whole: the residual clause for every row at once
-        return first + second, np.True_
+        return first + second, np.ones(starts.size, dtype=bool)
     residual = np.add.reduceat(rest, starts)
     bound = np.add.reduceat(np.abs(rest, out=rest), starts) * (sizes * 2.0**-51)
     head, tail = _two_sum(first, second)
@@ -368,14 +370,13 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
     bounds = part.boundaries
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     means, sds = np.empty(part.k), np.zeros(part.k)
-    cuts = []
-    if values.size > _RUN_VALUES:
-        # a run starts at each block that starts in a new window of _RUN_VALUES
-        windows = starts // _RUN_VALUES
-        cuts = (np.flatnonzero(windows[1:] != windows[:-1]) + 1).tolist()
+    # a run starts at the first block that starts at or after each multiple of _RUN_VALUES
+    cuts = sorted({bisect_left(starts, w) for w in range(_RUN_VALUES, bounds[-2] + 1, _RUN_VALUES)})
     for a, b in zip([0, *cuts], [*cuts, part.k]):
         lo = bounds[a]
         _rows_stats(values[lo : bounds[b]], starts[a:b] - lo, sizes[a:b], means[a:b], sds[a:b])
+    means.setflags(write=False)
+    sds.setflags(write=False)
     return BlockSummaries(means, sds, sizes)
 
 
@@ -487,25 +488,40 @@ def estimate(
     computes it with :func:`~robustmean.adaptive.robust_sigma`.  The other
     kinds read neither.
 
-    An overflow on the way, whether the kind would raise or return ``inf``
-    or ``nan``, raises ``OverflowError(TOO_LARGE)`` without a numpy warning.
+    An overflow on the way follows :func:`finite_or_too_large`.
+    """
+    return finite_or_too_large(_estimate, sample, spec, levels, scale)
+
+
+def _estimate(
+    sample: Sample, spec: EstimatorSpec, levels: dict[int, BlockSummaries] | None, scale: ScaleEstimate | None
+) -> float:
+    """:func:`estimate` without its overflow rule."""
+    if spec.kind == "weighted":
+        return weighted_mean(block_summaries(sample, partition(sample.n, spec.k)), spec.p)
+    if spec.kind == "mom":
+        return median_of_means(block_summaries(sample, partition(sample.n, spec.k)))
+    if spec.kind == "trimmed":
+        return trimmed_mean(sample, spec.epsilon)
+    # adaptive: imported here because that module builds on this one
+    from .adaptive import AdaptiveConfig, adaptive_estimate
+
+    config = AdaptiveConfig(p=spec.p, contamination_bound=spec.contamination_bound)
+    return adaptive_estimate(sample, config, levels, scale)
+
+
+def finite_or_too_large(compute, *args):
+    """``compute(*args)``, a float or an array of them, without numpy's overflow warnings.
+
+    The rule for numbers too large to summarise: where ``compute`` raises
+    ``OverflowError`` or returns a value that is ``inf`` or ``nan``, this
+    raises ``OverflowError(TOO_LARGE)``.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if spec.kind == "weighted":
-                result = weighted_mean(block_summaries(sample, partition(sample.n, spec.k)), spec.p)
-            elif spec.kind == "mom":
-                result = median_of_means(block_summaries(sample, partition(sample.n, spec.k)))
-            elif spec.kind == "trimmed":
-                result = trimmed_mean(sample, spec.epsilon)
-            else:
-                # adaptive: imported here because that module builds on this one
-                from .adaptive import AdaptiveConfig, adaptive_estimate
-
-                config = AdaptiveConfig(p=spec.p, contamination_bound=spec.contamination_bound)
-                result = adaptive_estimate(sample, config, levels, scale)
+            result = compute(*args)
     except OverflowError as exc:
         raise OverflowError(TOO_LARGE) from exc
-    if not math.isfinite(result):
+    if not np.isfinite(result).all():
         raise OverflowError(TOO_LARGE)
     return result

@@ -19,12 +19,14 @@ from .adaptive import ROBUST_SIGMA_MIN_N, ScaleEstimate, robust_sigma
 from .datagen import DISTRIBUTION_FIELDS, ContaminationSpec, DistributionSpec, contaminate, sample
 from .estimators import (
     ESTIMATOR_FIELDS,
-    TOO_LARGE,
+    BlockPartition,
     BlockSummaries,
     EstimatorSpec,
+    Sample,
     _trim_cut,
     block_summaries,
     estimate,
+    finite_or_too_large,
     is_int,
     median_of_means,
     partition,
@@ -194,36 +196,19 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     Its ``adaptive`` cells likewise share one :func:`robust_sigma`, computed
     when the first of them runs.
 
-    Every cell keeps :func:`estimate`'s overflow rule: a value that
-    overflows raises ``OverflowError(TOO_LARGE)`` without a numpy warning.
+    Every replication keeps :func:`estimate`'s overflow rule,
+    :func:`~robustmean.estimators.finite_or_too_large`, for all its cells.
     """
     problems = validate_spec(spec)
     if problems:
         raise ConfigError(problems)
 
     errors = np.empty((spec.replications, len(spec.estimators), len(spec.k_grid)))
-    true_mean = spec.distribution.true_mean
     parts = {k: partition(spec.n, k) for k in spec.k_grid}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(spec.replications):
-            raw = sample(spec.distribution, spec.n, substream_seed(spec.base_seed, "sample", r))
-            corrupted = contaminate(raw, spec.contamination, substream_seed(spec.base_seed, "contaminate", r))
-            # this replication's summaries by block count and its scale, shared by every cell
-            summaries: dict[int, BlockSummaries] = {}
-            scale: ScaleEstimate | None = None
-            for est, row in zip(spec.estimators, errors[r]):
-                if "k" not in ESTIMATOR_FIELDS[est.kind]:
-                    if est.kind == "adaptive" and scale is None:
-                        scale = robust_sigma(corrupted)
-                    row[:] = estimate(corrupted, est, summaries, scale) - true_mean
-                    continue
-                for j, k in enumerate(spec.k_grid):
-                    if k not in summaries:
-                        summaries[k] = block_summaries(corrupted, parts[k])
-                    value = weighted_mean(summaries[k], est.p) if est.kind == "weighted" else median_of_means(summaries[k])
-                    if not math.isfinite(value):
-                        raise OverflowError(TOO_LARGE)
-                    row[j] = value - true_mean
+    for r in range(spec.replications):
+        raw = sample(spec.distribution, spec.n, substream_seed(spec.base_seed, "sample", r))
+        corrupted = contaminate(raw, spec.contamination, substream_seed(spec.base_seed, "contaminate", r))
+        finite_or_too_large(_replication_errors, spec, parts, corrupted, errors[r])
 
     rows = []
     for i, est in enumerate(spec.estimators):
@@ -248,6 +233,28 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
                 )
             )
     return ExperimentTable(tuple(sorted(rows, key=_row_key)))
+
+
+def _replication_errors(
+    spec: ExperimentSpec, parts: dict[int, BlockPartition], corrupted: Sample, errors: np.ndarray
+) -> np.ndarray:
+    """Write one replication's errors into ``errors``, a row per estimator and a column per k, and return it."""
+    true_mean = spec.distribution.true_mean
+    # this replication's summaries by block count and its scale, shared by every cell
+    summaries: dict[int, BlockSummaries] = {}
+    scale: ScaleEstimate | None = None
+    for est, row in zip(spec.estimators, errors):
+        if "k" not in ESTIMATOR_FIELDS[est.kind]:
+            if est.kind == "adaptive" and scale is None:
+                scale = robust_sigma(corrupted)
+            row[:] = estimate(corrupted, est, summaries, scale) - true_mean
+            continue
+        for j, k in enumerate(spec.k_grid):
+            if k not in summaries:
+                summaries[k] = block_summaries(corrupted, parts[k])
+            value = weighted_mean(summaries[k], est.p) if est.kind == "weighted" else median_of_means(summaries[k])
+            row[j] = value - true_mean
+    return errors
 
 
 def figure_grid_table(replications: int = FIGURE_DEFAULT_REPLICATIONS, base_seed: int = FIGURE_DEFAULT_SEED) -> ExperimentTable:

@@ -411,7 +411,7 @@ def test_the_special_blocks_leave_the_common_path_where_they_should():
     block = SPECIAL_BLOCKS["squares-uncertified"]
     one = (np.array([0]), np.array([8]), np.array([1.0]))
     total, certified = _exact_sums(block, *one)
-    assert total[0] == 0.0 and certified is np.True_
+    assert total[0] == 0.0 and certified.tolist() == [True]
     total, certified = _exact_sums(np.float_power(np.abs(block), 2.0), *one)
     assert not certified.all() and math.fsum((block**2).tolist()) == 2.0 + 2.0**-51 != total[0]
 
@@ -480,6 +480,23 @@ def test_weights_at_every_p_share_one_base_bit_for_bit(quiet):
     for p in (1.0, 2.0):
         want = float(todays_weights(strided.means, strided.sds, p) @ strided.means)
         assert bits([weighted_mean(strided, p)]) == bits([want]) == bits([weighted_mean(list(strided), p)])
+
+
+def test_summaries_and_their_weight_base_are_read_only():
+    # the weights at every p share one base computed once, so the arrays it is built from must not change
+    summaries = block_summaries(Sample(contaminated_half_t(2500)), partition(2500, 25))
+    for array in (summaries.means, summaries.sds):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    weighted_mean(summaries, 2.0)
+    _, base = summaries._weight_base()
+    with pytest.raises(ValueError, match="read-only"):
+        base[0] = 0.0
+    quiet = block_summaries(Sample(np.full(100, 7.0)), partition(100, 4))
+    ref, ratios = robustmean.estimators._inverse_power_ratios(quiet, 1.0)
+    assert ref == 0.0 and ratios.tolist() == [1.0] * 4
+    with pytest.raises(ValueError, match="read-only"):
+        ratios[0] = 0.0
 
 
 # ------------------------------------------------------------ weighted mean

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,27 @@ def test_run_experiment_rejects_bad_spec():
 
 
 # ---------------------------------------------------------------- execution
+
+
+@pytest.mark.parametrize(
+    "n, center, outliers, estimator, k",
+    [
+        # blocks of 1.7e308 and 1.6e308 are not constant, and math.fsum raises on their sums
+        (60, 1.7e308, (20, 1.6e308), EstimatorSpec("weighted", p=2.0), 30),
+        # every block is quiet and the estimate, near 1.02e308, is finite; its error is not
+        (500, -1.7e308, (400, 1.7e308), EstimatorSpec("weighted", p=2.0), 500),
+        (60, 1.7e308, (0, 0.0), EstimatorSpec("trimmed", epsilon=0.0), 1),  # estimate's own rule, inside the replication's
+    ],
+    ids=["weighted-fsum-raises", "error-overflows", "trimmed-inf"],
+)
+def test_run_experiment_raises_one_overflow_error_for_numbers_too_large_to_summarise(n, center, outliers, estimator, k):
+    spec = small_spec(n=n, distribution=DistributionSpec.normal(center), contamination=ContaminationSpec(*outliers),
+                      k_grid=(k,), estimators=(estimator,), replications=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as err:
+            run_experiment(spec)
+    assert err.value.args == ("the numbers are too large to summarise: squaring or summing them overflows",)
 
 
 def test_single_replication_collapses_to_one_error():
