@@ -7,7 +7,10 @@ Builds the workload's inputs for ``--seed`` with ``perfbench/workloads.py``,
 which it loads read-only, in a temporary directory.  It runs one call
 unprofiled, so that imports and caches are warm, then profiles ``--calls``
 calls of ``robustmean.cli.main`` from this checkout's ``src``, cycling the
-workload's command lines.  It prints, for each function of the package,
+workload's reference command lines: the ``--jobs 1`` ones the benchmark's
+reference outputs were recorded from.  The timed command lines may pass
+``--jobs 2``, and cProfile sees only this process, not the time of the
+replications a forked worker runs.  It prints, for each function of the package,
 its calls, its self time and its cumulative time as shares of the time
 inside ``cli.main``, most expensive first.  cProfile does not see ufunc
 calls, so ``np.float_power``, the engine's libm squaring, is timed through
@@ -104,7 +107,7 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="profile-") as workdir:
         workload = workloads.build(args.workload, args.seed, Path(workdir))
-        cycle = [list(argv) for argv in workload.calls]
+        cycle = [list(argv) for argv in workload.reference_calls]
         # one warm-up call, then the profiled ones, cycling through the command lines;
         # what the calls print (estimate_cli's estimates) is dropped
         with contextlib.redirect_stdout(io.StringIO()):

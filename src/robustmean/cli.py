@@ -23,6 +23,7 @@ from .estimators import ESTIMATOR_FIELDS, TOO_LARGE, EstimatorSpec, Sample, esti
 from .harness import (
     FIGURE_DEFAULT_REPLICATIONS,
     FIGURE_DEFAULT_SEED,
+    JOBS_PROBLEM,
     ConfigError,
     emit_results,
     figure_grid_table,
@@ -30,7 +31,6 @@ from .harness import (
     run_experiment,
 )
 
-_JOBS_PROBLEM = "jobs: must be at least 1"
 # the EstimatorSpec field each `estimate` flag sets; a kind accepts only the flags of its fields
 _ESTIMATE_FLAGS = {"k": "--k", "p": "--p", "epsilon": "--epsilon", "contamination_bound": "--C"}
 _CHUNK_CHARS = 1 << 16  # characters read at a time, then the rest of their last line
@@ -132,24 +132,24 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    problems = [_JOBS_PROBLEM] if args.jobs < 1 else []
+    problems = [JOBS_PROBLEM] if args.jobs < 1 else []
     try:
         spec = parse_config(Path(args.config).read_text(encoding="utf-8"))
     except ConfigError as exc:
         problems += exc.errors
     if problems:
         raise ConfigError(problems)
-    _emit(run_experiment(spec), args)
+    _emit(run_experiment(spec, args.jobs), args)
     return 0
 
 
 def _cmd_figures(args) -> int:
-    problems = [_JOBS_PROBLEM] if args.jobs < 1 else []
+    problems = [JOBS_PROBLEM] if args.jobs < 1 else []
     if args.reps < 1:
         problems.append("reps: must be at least 1")
     if problems:
         raise ConfigError(problems)
-    _emit(figure_grid_table(replications=args.reps, base_seed=args.seed), args)
+    _emit(figure_grid_table(replications=args.reps, base_seed=args.seed, jobs=args.jobs), args)
     return 0
 
 
@@ -179,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--out", default=None, help="output path; stdout when omitted")
     table.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     table.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; must be at least 1 and selects nothing: runs are serial")
+                       help="run the replications in up to this many worker processes, capped at the "
+                            "replications and the CPUs; the output is byte-identical for every value")
 
     sim = sub.add_parser("simulate", parents=[table], help="run a JSON-configured experiment")
     sim.add_argument("--config", required=True, help="path to the JSON experiment description")

@@ -277,10 +277,10 @@ def test_criterion_9_simulate_is_parallelism_invariant(tmp_path):
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+    serial, forked = tmp_path / "serial.csv", tmp_path / "forked.csv"
     rc1 = main(["simulate", "--config", str(cfg), "--out", str(serial), "--jobs", "1"])
-    rc8 = main(["simulate", "--config", str(cfg), "--out", str(threaded), "--jobs", "8"])
-    same = serial.read_bytes() == threaded.read_bytes()
+    rc8 = main(["simulate", "--config", str(cfg), "--out", str(forked), "--jobs", "8"])
+    same = serial.read_bytes() == forked.read_bytes()
     ok = rc1 == 0 and rc8 == 0 and same
     line = report(9, ok, f"exit codes {rc1}/{rc8}, byte-identical={same}")
     assert ok, line

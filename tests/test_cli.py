@@ -451,12 +451,25 @@ def test_help_exits_zero(capsys):
 def test_simulate_writes_csv_and_is_jobs_invariant(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(GOOD_CONFIG))
-    one, eight = tmp_path / "one.csv", tmp_path / "eight.csv"
+    one, two, eight = tmp_path / "one.csv", tmp_path / "two.csv", tmp_path / "eight.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(one)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(two), "--jobs", "2"]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(eight), "--jobs", "8"]) == 0
-    assert one.read_bytes() == eight.read_bytes()
+    assert one.read_bytes() == two.read_bytes() == eight.read_bytes()
     lines = one.read_text().splitlines()
     assert len(lines) == 1 + 2 * 2  # header + estimators x k grid
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_refuses_aggregates_too_large_to_summarise(tmp_path, capsys, recwarn, jobs):
+    # every error is about 1e308 and finite; their sum, for the mean error, overflows
+    payload = dict(GOOD_CONFIG, N=501, contamination={"count": 400, "value": 1e308}, k_grid=[501],
+                   estimators=[{"kind": "mom"}], replications=2)
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["simulate", "--config", str(cfg), "--jobs", jobs]) == 1
+    assert capsys.readouterr() == ("", "error: the numbers are too large to summarise: squaring or summing them overflows\n")
+    assert not recwarn.list
 
 
 def test_simulate_jsonl_to_stdout(tmp_path, capsys):
@@ -546,7 +559,7 @@ def test_jobs_problem_is_reported_with_the_other_config_problems(tmp_path, capsy
     assert any("k_grid" in line for line in err) and any("replications" in line for line in err)
 
 
-def test_paper_figures_ignores_jobs(tmp_path):
+def test_paper_figures_is_jobs_invariant(tmp_path):
     plain, jobs = tmp_path / "plain.csv", tmp_path / "jobs.csv"
     assert main(["paper-figures", "--reps", "2", "--out", str(plain)]) == 0
     assert main(["paper-figures", "--reps", "2", "--jobs", "2", "--out", str(jobs)]) == 0

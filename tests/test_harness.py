@@ -3,7 +3,9 @@
 import itertools
 import json
 import math
+import os
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -159,8 +161,10 @@ def test_run_experiment_rejects_bad_spec():
         # every block is quiet and the estimate, near 1.02e308, is finite; its error is not
         (500, -1.7e308, (400, 1.7e308), EstimatorSpec("weighted", p=2.0), 500),
         (60, 1.7e308, (0, 0.0), EstimatorSpec("trimmed", epsilon=0.0), 1),  # estimate's own rule, inside the replication's
+        # every error is about 1e308 and finite; their sum, for the mean error, is not
+        (501, 0.0, (400, 1e308), EstimatorSpec("mom"), 501),
     ],
-    ids=["weighted-fsum-raises", "error-overflows", "trimmed-inf"],
+    ids=["weighted-fsum-raises", "error-overflows", "trimmed-inf", "aggregates-overflow"],
 )
 def test_run_experiment_raises_one_overflow_error_for_numbers_too_large_to_summarise(n, center, outliers, estimator, k):
     spec = small_spec(n=n, distribution=DistributionSpec.normal(center), contamination=ContaminationSpec(*outliers),
@@ -349,6 +353,126 @@ def test_a_replication_computes_one_scale_for_all_its_adaptive_cells(monkeypatch
             m = table.metrics(est.kind, k=k, p=est.p if est.kind == "adaptive" else None)
             assert (m.mean_error, m.max_abs_error) == (errors.mean(), np.abs(errors).max())
             assert m.rescaled_sd == math.sqrt(spec.n) * errors.std()
+
+
+# ---------------------------------------------------------------- worker processes
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus_counting_forks(monkeypatch):
+    """Two CPUs whatever the machine has, and the pid of every child forked, as the parent sees it."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("replications, forked", [(7, 1), (1, 0)], ids=["uneven-split", "one-replication"])
+def test_workers_give_the_serial_table_bit_for_bit(two_cpus_counting_forks, replications, forked):
+    spec = small_spec(k_grid=(2, 5, 25), replications=replications)
+    serial = run_experiment(spec)
+    assert two_cpus_counting_forks == []
+    # repr shows every float's shortest round trip, so it tells -0.0 from 0.0 where == does not
+    assert repr(run_experiment(spec, jobs=2)) == repr(serial)
+    assert len(two_cpus_counting_forks) == forked
+    assert_no_child_left()
+
+
+def test_workers_are_capped_at_the_cpus(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    spec = small_spec(replications=3)
+    serial = run_experiment(spec)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert repr(run_experiment(spec, jobs=8)) == repr(serial)
+
+
+def plant(monkeypatch, spec, failures):
+    """Make ``contaminate`` raise for each replication in ``failures``: the exception, by index."""
+    import robustmean.harness
+
+    seeds = {substream_seed(spec.base_seed, "contaminate", r): exc for r, exc in failures.items()}
+
+    def failing(values, contamination, seed):
+        if seed in seeds:
+            raise seeds[seed]
+        return contaminate(values, contamination, seed)
+
+    monkeypatch.setattr(robustmean.harness, "contaminate", failing)
+
+
+# 6 replications over 2 workers: the parent runs 0 to 2 and the child 3 to 5
+@pytest.mark.parametrize(
+    "failures",
+    [{4: RuntimeError("planted at 4"), 5: ValueError("planted at 5")},
+     {1: ValueError("planted at 1"), 4: RuntimeError("planted at 4")},
+     {5: OverflowError("planted at 5")}],
+    ids=["child-twice", "parent-and-child", "child-last"],
+)
+def test_a_failed_replication_raises_the_serial_error(two_cpus_counting_forks, monkeypatch, failures):
+    spec = small_spec(replications=6)
+    plant(monkeypatch, spec, failures)
+    with pytest.raises(Exception) as serial:
+        run_experiment(spec)
+    with pytest.raises(Exception) as workers:
+        run_experiment(spec, jobs=2)
+    assert len(two_cpus_counting_forks) == 1
+    assert (type(workers.value), str(workers.value)) == (type(serial.value), str(serial.value))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", [1, 4], ids=["parent", "child"])
+def test_no_child_outlives_an_interrupt(two_cpus_counting_forks, monkeypatch, where):
+    spec = small_spec(replications=6)
+    plant(monkeypatch, spec, {where: KeyboardInterrupt()})
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(spec, jobs=2)
+    assert len(two_cpus_counting_forks) == 1
+    assert_no_child_left()
+
+
+def test_an_interrupted_run_kills_its_children(two_cpus_counting_forks, monkeypatch):
+    import robustmean.harness
+
+    spec = small_spec(replications=6)
+    interrupt, hang = (substream_seed(spec.base_seed, "contaminate", r) for r in (1, 3))
+
+    def planted(values, contamination, seed):
+        if seed == interrupt:
+            raise KeyboardInterrupt
+        if seed == hang:
+            time.sleep(60)  # the child's first replication; only a kill ends it sooner
+        return contaminate(values, contamination, seed)
+
+    monkeypatch.setattr(robustmean.harness, "contaminate", planted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(spec, jobs=2)
+    assert time.monotonic() - start < 30
+    assert len(two_cpus_counting_forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [0, True, 1.5])
+def test_run_experiment_refuses_jobs_that_are_not_a_positive_integer(jobs):
+    with pytest.raises(ConfigError) as err:
+        run_experiment(small_spec(), jobs=jobs)
+    assert err.value.errors == ["jobs: must be at least 1"]
 
 
 def test_seed_isolation_changes_errors_not_structure():
