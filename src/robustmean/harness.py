@@ -215,24 +215,27 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentTable:
     if problems:
         raise ConfigError(problems)
 
-    errors = np.empty((spec.replications, len(spec.estimators), len(spec.k_grid)))
+    import mmap  # here, not at the top: the import would add to every `import robustmean`
+
+    # float64s in one anonymous shared mapping, so forked workers write their rows straight into it
+    shape = (spec.replications, len(spec.estimators), len(spec.k_grid))
+    errors = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
     parts = {k: partition(spec.n, k) for k in spec.k_grid}
 
-    def replications(rows: range):
-        """Fill the rows ``rows`` of ``errors``, one replication each, yielding each index once its row is filled.
+    def run_rows(rows: range) -> None:
+        """Fill the rows ``rows`` of ``errors``, one replication each.
 
-        As in a plain loop, a replication's arrays stay alive while the next
-        one is drawn.  Freed first, they let glibc trim the top of the heap
-        and grow it again every replication: ``paper-figures --reps 25`` ran
-        1.5% slower, and no slower with trimming off.
+        A replication's arrays stay alive while the next one is drawn.
+        Freed first, they let glibc trim the top of the heap and grow it
+        again every replication: ``paper-figures --reps 25`` ran 1.5%
+        slower, and no slower with trimming off.
         """
         for r in rows:
             raw = sample(spec.distribution, spec.n, substream_seed(spec.base_seed, "sample", r))
             corrupted = contaminate(raw, spec.contamination, substream_seed(spec.base_seed, "contaminate", r))
             finite_or_too_large(_replication_errors, spec, parts, corrupted, errors[r])
-            yield r
 
-    _run_replications(replications, errors, _worker_count(jobs, spec.replications))
+    _run_replications(run_rows, spec.replications, _worker_count(jobs, spec.replications))
 
     rows = []
     for est, cells in zip(spec.estimators, finite_or_too_large(_aggregates, errors, spec.n)):
@@ -267,83 +270,43 @@ def _worker_count(jobs: int, replications: int) -> int:
     return min(jobs, replications, len(os.sched_getaffinity(0)))
 
 
-def _run_replications(replications, errors: np.ndarray, workers: int) -> None:
-    """Run ``replications(rows)`` over all the rows of ``errors``, which it fills, in ``workers`` processes.
+def _run_replications(run_rows, count: int, workers: int) -> None:
+    """Run ``run_rows`` over ``range(count)`` in ``workers`` processes.
 
     The rows split into ``workers`` contiguous ranges.  This process forks
-    a child for each range but the first, runs the first itself, then reads
-    the rows each child sends.  A child sends the rows it finished, up to
-    its first failed replication, as raw float64 bytes.  Whatever a child
-    did not send, this process runs afterwards, in order, so a failure
-    raises here exactly what the serial loop raises.  If this process
-    raises on the way, it kills the children first; either way it waits
-    for every child before it returns or raises.  With one worker nothing
-    is forked and the loop is the serial one.
+    a child for each range but the first and runs the first itself; what a
+    child writes to shared memory needs no sending back.  A child exits 0
+    only when its whole range is done.  The range of every child that did
+    not, failed or otherwise, this process runs again afterwards, in order,
+    so a failure raises here exactly what the serial loop raises.  If this
+    process raises on the way, it kills the children first; either way it
+    waits for every child before it returns or raises.  With one worker
+    nothing is forked and the loop is the serial one.
     """
-    bounds = [len(errors) * w // workers for w in range(workers + 1)]
+    bounds = [count * w // workers for w in range(workers + 1)]
     ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    children = []  # (pid, read end of its pipe, its range)
+    children = {}  # pid: its range
     try:
         for rows in ranges[1:]:
-            children.append((*_fork_worker(replications, errors, rows), rows))
-        for _ in replications(ranges[0]):
-            pass
-        sent = [_receive(fd, errors[rows.start:rows.stop]) for _, fd, rows in children]
+            pid = os.fork()
+            if not pid:
+                # leave through os._exit: no exit handler runs and no inherited stdio buffer is flushed
+                status = 1
+                try:
+                    run_rows(rows)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = rows
+        run_rows(ranges[0])
     except BaseException:
-        for pid, _, _ in children:
+        for pid in children:
             os.kill(pid, 9)  # SIGKILL, 9 on every POSIX system; the signal module takes 0.4 ms to import
         raise
     finally:
-        for pid, fd, _ in children:
-            os.close(fd)
-            os.waitpid(pid, 0)
-    for (_, _, rows), done in zip(children, sent):
-        for _ in replications(rows[done:]):
-            pass
-
-
-def _fork_worker(replications, errors: np.ndarray, rows: range) -> tuple[int, int]:
-    """Fork a child that runs ``replications(rows)`` and sends the rows of ``errors`` it finished.
-
-    Returns the child's pid and the read end of its pipe.  The child leaves
-    through ``os._exit``: no exit handler runs and no inherited stdio
-    buffer is flushed.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    try:
-        os.close(read_fd)
-        done = rows.start
-        try:
-            for r in replications(rows):
-                done = r + 1
-        except Exception:  # noqa: BLE001 - reported by the rows sent; the parent runs this replication again
-            pass
-        view = memoryview(errors[rows.start:done]).cast("B")
-        while view:
-            view = view[os.write(write_fd, view):]
-    finally:
-        os._exit(0)
-
-
-def _receive(fd: int, rows: np.ndarray) -> int:
-    """Read into ``rows`` what a child sends until it closes its pipe; the number of whole rows received."""
-    view = memoryview(rows).cast("B")
-    received = 0
-    while received < len(view):
-        count = os.readv(fd, [view[received:]])
-        if not count:
-            break
-        received += count
-    return received // rows[0].nbytes
+        failed = [rows for pid, rows in children.items() if os.waitpid(pid, 0)[1]]
+    for rows in failed:
+        run_rows(rows)
 
 
 def _replication_errors(

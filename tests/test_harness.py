@@ -363,9 +363,8 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def two_cpus_counting_forks(monkeypatch):
-    """Two CPUs whatever the machine has, and the pid of every child forked, as the parent sees it."""
+def counting_forks(monkeypatch, cpus):
+    """``cpus`` CPUs whatever the machine has, and the pid of every child forked, as the parent sees it."""
     forks = []
     fork = os.fork
 
@@ -375,9 +374,14 @@ def two_cpus_counting_forks(monkeypatch):
             forks.append(pid)
         return pid
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(os, "fork", counted)
     return forks
+
+
+@pytest.fixture
+def two_cpus_counting_forks(monkeypatch):
+    return counting_forks(monkeypatch, 2)
 
 
 @pytest.mark.parametrize("replications, forked", [(7, 1), (1, 0)], ids=["uneven-split", "one-replication"])
@@ -389,6 +393,17 @@ def test_workers_give_the_serial_table_bit_for_bit(two_cpus_counting_forks, repl
     assert repr(run_experiment(spec, jobs=2)) == repr(serial)
     assert len(two_cpus_counting_forks) == forked
     assert_no_child_left()
+
+
+def test_more_workers_than_cores_fill_every_row(monkeypatch):
+    forks = counting_forks(monkeypatch, 8)
+    spec = small_spec(k_grid=(2, 5, 25), replications=19)
+    start = time.monotonic()
+    forked = run_experiment(spec, jobs=8)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 7
+    assert_no_child_left()
+    assert repr(forked) == repr(run_experiment(spec))
 
 
 def test_workers_are_capped_at_the_cpus(monkeypatch):
@@ -416,24 +431,75 @@ def plant(monkeypatch, spec, failures):
     monkeypatch.setattr(robustmean.harness, "contaminate", failing)
 
 
-# 6 replications over 2 workers: the parent runs 0 to 2 and the child 3 to 5
+# 3 replications a worker: over 2 workers the parent runs 0 to 2 and the child 3 to 5;
+# over 3 the first child runs 3 to 5 and the second 6 to 8, whose failure must not win
 @pytest.mark.parametrize(
-    "failures",
-    [{4: RuntimeError("planted at 4"), 5: ValueError("planted at 5")},
-     {1: ValueError("planted at 1"), 4: RuntimeError("planted at 4")},
-     {5: OverflowError("planted at 5")}],
-    ids=["child-twice", "parent-and-child", "child-last"],
+    "workers, failures",
+    [(2, {4: RuntimeError("planted at 4"), 5: ValueError("planted at 5")}),
+     (2, {1: ValueError("planted at 1"), 4: RuntimeError("planted at 4")}),
+     (2, {5: OverflowError("planted at 5")}),
+     (3, {4: ValueError("at 4"), 8: RuntimeError("at 8")})],
+    ids=["child-twice", "parent-and-child", "child-last", "two-children"],
 )
-def test_a_failed_replication_raises_the_serial_error(two_cpus_counting_forks, monkeypatch, failures):
-    spec = small_spec(replications=6)
+def test_a_failed_replication_raises_the_serial_error(monkeypatch, workers, failures):
+    forks = counting_forks(monkeypatch, workers)
+    spec = small_spec(replications=3 * workers)
     plant(monkeypatch, spec, failures)
     with pytest.raises(Exception) as serial:
         run_experiment(spec)
-    with pytest.raises(Exception) as workers:
-        run_experiment(spec, jobs=2)
-    assert len(two_cpus_counting_forks) == 1
-    assert (type(workers.value), str(workers.value)) == (type(serial.value), str(serial.value))
+    with pytest.raises(Exception) as forked:
+        run_experiment(spec, jobs=workers)
+    assert len(forks) == workers - 1
+    assert (type(forked.value), str(forked.value)) == (type(serial.value), str(serial.value))
     assert_no_child_left()
+
+
+# 6 replications over 2 workers; the forked run goes first, since the freed rows of
+# a serial run of the same shape could otherwise stand in for the rows of a child
+@pytest.mark.parametrize("kill, parent_ran", [(None, [0, 1, 2]), (4, [0, 1, 2, 3, 4, 5])], ids=["child-done", "child-killed"])
+def test_a_childs_rows_reach_the_parent_and_a_dead_childs_range_runs_again(
+    two_cpus_counting_forks, monkeypatch, kill, parent_ran
+):
+    import robustmean.harness
+
+    spec = small_spec(replications=6)
+    test_pid = os.getpid()
+    index = {substream_seed(spec.base_seed, "contaminate", r): r for r in range(spec.replications)}
+    ran = []
+
+    def planted(values, contamination, seed):
+        if os.getpid() == test_pid:
+            ran.append(index[seed])
+        elif index[seed] == kill:
+            os.kill(os.getpid(), 9)  # the child dies without raising
+        return contaminate(values, contamination, seed)
+
+    monkeypatch.setattr(robustmean.harness, "contaminate", planted)
+    forked = run_experiment(spec, jobs=2)
+    assert ran == parent_ran
+    assert len(two_cpus_counting_forks) == 1
+    assert_no_child_left()
+    assert repr(forked) == repr(run_experiment(spec))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists the open file descriptors in /proc")
+def test_a_failed_fork_leaves_nothing_behind(monkeypatch):
+    forks = counting_forks(monkeypatch, 3)
+    counted = os.fork
+
+    def second_fails():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return counted()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError) as err:
+        run_experiment(small_spec(replications=6), jobs=3)
+    assert err.value.errno == 11
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 @pytest.mark.parametrize("where", [1, 4], ids=["parent", "child"])
