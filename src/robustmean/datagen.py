@@ -25,7 +25,7 @@ DISTRIBUTION_FIELDS = {
 
 def abs_t_mean(df: float) -> float:
     """E|T| for a Student-t variable, finite for df > 1."""
-    if df <= 1:
+    if not df > 1:
         raise ValueError("df must exceed 1")
     ratio = math.exp(math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0))
     return 2.0 * math.sqrt(df) * ratio / (math.sqrt(math.pi) * (df - 1.0))
@@ -33,7 +33,7 @@ def abs_t_mean(df: float) -> float:
 
 def abs_t_sd(df: float) -> float:
     """Standard deviation of |T| for df > 2."""
-    if df <= 2:
+    if not df > 2:
         raise ValueError("df must exceed 2")
     m = abs_t_mean(df)
     return math.sqrt(df / (df - 2.0) - m * m)

@@ -44,7 +44,7 @@ def outlier_magnitude(sample: Sample, part: BlockPartition, true_sigma: float) -
     went through ``contaminate``.  Returns None when no block mixes
     inliers and outliers, in particular when nothing is corrupted.
     """
-    if true_sigma <= 0:
+    if not true_sigma > 0:
         raise ValueError("true_sigma must be positive")
     if sample.outlier_mask is None:
         raise ValueError("sample carries no outlier mask")
@@ -77,7 +77,7 @@ def tail_quantile_check(
 
     Compare against tail bounds of the form ``2 * exp(-s)``.
     """
-    if sigma <= 0 or n < 1:
+    if not sigma > 0 or not n >= 1:
         raise ValueError("sigma must be positive and n at least 1")
     errors = np.abs(np.asarray(errors, dtype=np.float64))
     return np.array(

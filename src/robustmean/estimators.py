@@ -103,7 +103,14 @@ class BlockPartition:
     boundaries: np.ndarray
 
     def __post_init__(self):
-        bounds = np.asarray(self.boundaries, dtype=np.int64)
+        bounds = np.asarray(self.boundaries)
+        if bounds.dtype != np.int64:
+            # NaN and infinity cast to some integer, which the comparison below refuses
+            with np.errstate(invalid="ignore"):
+                cast = bounds.astype(np.int64)
+            if not np.array_equal(cast, bounds):
+                raise ValueError(f"boundaries must be integers, got {bounds!r}")
+            bounds = cast
         if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0 or np.any(np.diff(bounds) < 1):
             raise ValueError("boundaries must start at 0 and strictly increase")
         object.__setattr__(self, "boundaries", bounds)
@@ -168,6 +175,8 @@ def partition(n: int, k: int) -> BlockPartition:
     The first ``n % k`` blocks absorb the remainder, so sizes are
     non-increasing from left to right.
     """
+    if not is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not is_int(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
@@ -260,7 +269,8 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     neighbour.  Uncertified rows must be summed by ``math.fsum``.
 
     Every ``amax`` must lie in [2**-900, 2**900), where ``sigma`` neither
-    overflows nor underflows; see :data:`_ROW_RANGE`.
+    overflows nor underflows (see :data:`_ROW_RANGE`), or be 0 for a row of
+    zeros, whose sum is an exact, certified 0.
     """
     m = int(sizes.max() + 1).bit_length()
     sigma = np.repeat(np.ldexp(1.0, np.frexp(amax)[1] + m), sizes)
@@ -291,20 +301,32 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     return total, exact | (np.abs(head_error + tail_error) + bound < half_gap)
 
 
-# A block that is not constant takes the array path when its largest |value|
-# A lies in this range; every other one runs _fsum_stats.  With A < 2**448
+# A block that is not constant keeps its array-path result when its largest
+# |value| A lies in this range; every other one enters as zeros.  With A < 2**448
 # every |d| = |v - mean| is at most 2A < 2**449, so every square is below
 # 2**898.  Two distinct doubles of magnitude at most A differ by at least
 # 2**-53 A, so with A >= 2**-390 the largest |d| around any mean is at
 # least 2**-55 A and the largest square at least 2**-890.  Both
-# _exact_sums calls therefore see row maxima inside [2**-900, 2**900).
+# _exact_sums calls therefore see row maxima inside [2**-900, 2**900), or 0.
 _ROW_RANGE = (2.0**-390, 2.0**448)
 
 
-def _array_stats(
-    y: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.ndarray, means: np.ndarray, sds: np.ndarray
-) -> np.ndarray:
-    """The array path: write each row's mean and sd (rows as in :func:`_exact_sums`); whether both its sums are certified."""
+def _rows_stats(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.ndarray) -> None:
+    """Write the mean and sd of each block of ``x``: blocks at ``starts`` of ``sizes`` values, covering ``x``.
+
+    A row is a block that is not constant and has its largest |value| in
+    :data:`_ROW_RANGE`.  Every other block enters :func:`_exact_sums` as
+    zeros; then a constant one takes its value as mean, and the rest, with
+    every row whose sums are not certified, run :func:`_fsum_stats`.
+    """
+    low = np.minimum.reduceat(x, starts)
+    high = np.maximum.reduceat(x, starts)
+    amax = np.maximum(high, -low)
+    rows = (low != high) & (amax >= _ROW_RANGE[0]) & (amax < _ROW_RANGE[1])
+    y = x
+    if not rows.all():
+        y = np.where(np.repeat(rows, sizes), x, 0.0)
+        amax = np.where(rows, amax, 0.0)
     sums, certified = _exact_sums(y, starts, sizes, amax)
     np.divide(sums, sizes, out=means)
     # float_power calls libm pow per value, as Python's ** does (np.power squares by
@@ -313,36 +335,11 @@ def _array_stats(
     np.float_power(np.abs(squares, out=squares), 2.0, out=squares)
     square_sums, square_certified = _exact_sums(squares, starts, sizes, np.maximum.reduceat(squares, starts))
     np.sqrt(np.divide(square_sums, sizes, out=sds), out=sds)
-    return certified & square_certified
-
-
-def _rows_stats(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.ndarray) -> None:
-    """Write the mean and sd of each block of ``x``: blocks at ``starts`` of ``sizes`` values, covering ``x``; ``sds`` start at 0.
-
-    A run of rows only (not constant, largest |value| in :data:`_ROW_RANGE`)
-    writes straight into ``means`` and ``sds``; masks, the gathered rows and the
-    :func:`_fsum_stats` list are built only for a block that is not a row
-    or whose sums are not certified.
-    """
-    low = np.minimum.reduceat(x, starts)
-    high = np.maximum.reduceat(x, starts)
-    amax = np.maximum(high, -low)
-    rows = (low != high) & (amax >= _ROW_RANGE[0]) & (amax < _ROW_RANGE[1])
-    if rows.all():
-        fallback = ~_array_stats(x, starts, sizes, amax, means, sds)
-    else:
+    done = rows & certified & square_certified
+    if not done.all():
         constant = low == high
         means[constant] = x[starts[constant]]
-        fallback = ~constant
-        if rows.any():
-            row_sizes = sizes[rows]
-            row_means, row_sds = np.empty(row_sizes.size), np.empty(row_sizes.size)
-            row_starts = np.cumsum(row_sizes) - row_sizes
-            certified = _array_stats(x[np.repeat(rows, sizes)], row_starts, row_sizes, amax[rows], row_means, row_sds)
-            means[rows], sds[rows] = row_means, row_sds
-            fallback[rows] = ~certified
-    if fallback.any():
-        for j in np.flatnonzero(fallback):
+        for j in np.flatnonzero(~(done | constant)):
             means[j], sds[j] = _fsum_stats(x[starts[j] : starts[j] + sizes[j]])
 
 
@@ -358,18 +355,18 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
     Sums are exactly rounded (``math.fsum``'s results), so the summaries
     do not depend on the order of values within a block and a
     single-block mean is the correctly rounded sample mean.  A constant
-    block reports its value and sd 0 without any rounding.  A block whose
-    largest |value| lies in :data:`_ROW_RANGE` goes through
-    :func:`_exact_sums` over the flat array, squared by libm ``pow`` on
-    |d| as ``**`` squares; a block outside it, or whose sum or sum of
-    squares is not certified, runs :func:`_fsum_stats` instead.
+    block reports its value and sd 0 without any rounding.  A block that
+    is not constant and whose largest |value| lies in :data:`_ROW_RANGE`
+    keeps the result of :func:`_exact_sums` over the flat array, squared by
+    libm ``pow`` on |d| as ``**`` squares; a block outside it, or whose sum
+    or sum of squares is not certified, runs :func:`_fsum_stats` instead.
     """
     values = sample.values
     if part.n != values.size:
         raise ValueError("partition does not cover this sample")
     bounds = part.boundaries
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
-    means, sds = np.empty(part.k), np.zeros(part.k)
+    means, sds = np.empty(part.k), np.empty(part.k)
     # a run starts at the first block that starts at or after each multiple of _RUN_VALUES
     cuts = sorted({bisect_left(starts, w) for w in range(_RUN_VALUES, bounds[-2] + 1, _RUN_VALUES)})
     for a, b in zip([0, *cuts], [*cuts, part.k]):

@@ -41,6 +41,10 @@ def test_abs_t_moment_domains():
         abs_t_mean(1.0)
     with pytest.raises(ValueError):
         abs_t_sd(2.0)
+    with pytest.raises(ValueError, match="^df must exceed 1$"):
+        abs_t_mean(math.nan)
+    with pytest.raises(ValueError, match="^df must exceed 2$"):
+        abs_t_sd(math.nan)
 
 
 # ------------------------------------------------------------ distributions

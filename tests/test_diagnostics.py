@@ -109,8 +109,9 @@ def test_outlier_magnitude_rejects_a_partition_of_another_length():
 
 def test_outlier_magnitude_rejects_bad_sigma():
     s = Sample(np.arange(4.0), outlier_mask=np.zeros(4, dtype=bool))
-    with pytest.raises(ValueError):
-        outlier_magnitude(s, partition(4, 2), 0.0)
+    for sigma in (0.0, math.nan):
+        with pytest.raises(ValueError, match="^true_sigma must be positive$"):
+            outlier_magnitude(s, partition(4, 2), sigma)
 
 
 def test_outlier_magnitude_absent_without_outliers():
@@ -222,3 +223,6 @@ def test_tail_check_validation():
         tail_quantile_check(np.ones(5), 0.0, 10, np.array([1.0]))
     with pytest.raises(ValueError):
         tail_quantile_check(np.ones(5), 1.0, 0, np.array([1.0]))
+    for sigma, n in ((math.nan, 10), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="^sigma must be positive and n at least 1$"):
+            tail_quantile_check(np.ones(5), sigma, n, np.array([1.0]))

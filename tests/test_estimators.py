@@ -53,9 +53,10 @@ def test_partition_single_block():
 @pytest.mark.parametrize(
     "n,k,message",
     [(6, 0, "need 1 <= k <= n"), (6, 7, "need 1 <= k <= n"), (6, -1, "need 1 <= k <= n"),
-     (6, True, "k must be an integer, got True"), (6, 2.0, "k must be an integer, got 2.0")],
+     (6, True, "k must be an integer, got True"), (6, 2.0, "k must be an integer, got 2.0"),
+     (2.5, 1, "n must be an integer, got 2.5"), (True, 1, "n must be an integer, got True")],
 )
-def test_partition_rejects_bad_k(n, k, message):
+def test_partition_rejects_bad_n_or_k(n, k, message):
     with pytest.raises(ValueError, match=message):
         partition(n, k)
 
@@ -84,6 +85,11 @@ def test_partition_boundaries_validated():
         BlockPartition(np.array([0, 3, 3]))  # empty block
     with pytest.raises(ValueError):
         BlockPartition(np.array([0]))
+    # the int64 cast would make these [0, 2, 5] and [0, <some integer>, 5]
+    for bounds in ([0, 2.5, 5], [0, math.nan, 5], [0, math.inf, 5]):
+        with pytest.raises(ValueError, match="^boundaries must be integers"):
+            BlockPartition(np.array(bounds))
+    assert BlockPartition(np.array([0.0, 2.0, 5.0])).boundaries.tolist() == [0, 2, 5]
 
 
 # ---------------------------------------------------------- block summaries
@@ -391,13 +397,15 @@ def assert_engine_equals_the_fsum_loop(x, k):
     assert bits(got.sds) == bits(want_sds)
 
 
-# Blocks that leave the common path: a run holding only rows (not constant,
-# inside _ROW_RANGE) writes its results straight out and runs the fsum loop
-# only for uncertified blocks; a constant or out-of-range block makes the
-# run gather its rows and scatter them back.
+# Blocks whose array-path result is overwritten.  A block that is not a row
+# (constant, or with its largest |value| outside _ROW_RANGE) enters the array
+# path as zeros; a constant one then takes its value as mean, and the others
+# run the fsum loop, as does a row whose sum or sum of squares is not certified.
 SPECIAL_BLOCKS = {
     "constant": np.full(50, 3.25),
     "out-of-range": np.append(np.linspace(-1.0, 1.0, 49), 2.0**505),
+    # out of range from below: every |value| is under 2**-390
+    "tiny": np.linspace(-1.0, 1.0, 50) * 2.0**-400,
     # the sum's extraction leaves 2**-150 over a rounding midpoint
     "uncertified": np.array([1.0, 2.0**-53, 2.0**-150]),
     # the sum, 0, is exact; the squares sum to 2 + 2**-52 + 2**-149, past the midpoint above 2
@@ -416,20 +424,17 @@ def test_the_special_blocks_leave_the_common_path_where_they_should():
     assert not certified.all() and math.fsum((block**2).tolist()) == 2.0 + 2.0**-51 != total[0]
 
 
-@pytest.mark.parametrize("n, runs", [(5000, 1), (103300, 4)], ids=["one-run", "four-runs"])
+@pytest.mark.parametrize("n, runs", [(5000, 1), (103300, 4), (0, 1)], ids=["one-run", "four-runs", "special-only"])
 @pytest.mark.parametrize("kinds", [[name] for name in SPECIAL_BLOCKS] + [list(SPECIAL_BLOCKS)],
                          ids=[*SPECIAL_BLOCKS, "all"])
 def test_runs_mixing_ordinary_and_special_blocks_equal_the_fsum_loop(monkeypatch, n, runs, kinds):
-    # ordinary blocks of 50 half-t values, with each special block planted
-    # in the first run and near the end of the last
-    ordinary = np.split(contaminated_half_t(n), n // 50)
-    planted = {0: [], len(ordinary) - 3: []}
-    for name in kinds:
-        for where in planted:
-            planted[where].append(SPECIAL_BLOCKS[name])
-    blocks = []
-    for j, block in enumerate(ordinary):
-        blocks += [block, *planted.get(j, [])]
+    # ordinary blocks of 50 half-t values, with the special blocks planted
+    # after the first and before the last two; with n = 0 the run holds the
+    # special blocks alone, so a constant, out-of-range or tiny one makes a
+    # run with no row at all
+    ordinary = np.split(contaminated_half_t(n), n // 50) if n else []
+    special = [SPECIAL_BLOCKS[name] for name in kinds]
+    blocks = [*ordinary[:1], *special, *ordinary[1:-2], *special, *ordinary[-2:]]
     x = np.concatenate(blocks)
     part = BlockPartition(np.cumsum([0, *map(len, blocks)]))
     fsum_stats = robustmean.estimators._fsum_stats
@@ -441,6 +446,19 @@ def test_runs_mixing_ordinary_and_special_blocks_equal_the_fsum_loop(monkeypatch
     assert bits(got.sds) == bits(want_sds)
     assert len(taken) == runs
     assert sorted(calls) == sorted(2 * [SPECIAL_BLOCKS[name].size for name in kinds if name != "constant"])
+
+
+def test_a_run_of_every_special_kind_warns_nothing():
+    # every kind of special block in one run, with warnings as errors: the zeros they enter as warn of nothing
+    blocks = list(SPECIAL_BLOCKS.values())
+    x = np.concatenate(blocks)
+    part = BlockPartition(np.cumsum([0, *map(len, blocks)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = block_summaries(Sample(x), part)
+    want_means, want_sds = oracle_block_stats(x, part)
+    assert bits(got.means) == bits(want_means)
+    assert bits(got.sds) == bits(want_sds)
 
 
 # ------------------------------------------------------------- weight base
