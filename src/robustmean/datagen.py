@@ -24,11 +24,22 @@ DISTRIBUTION_FIELDS = {
 
 
 def abs_t_mean(df: float) -> float:
-    """E|T| for a Student-t variable, finite for df > 1."""
+    """E|T| for a Student-t variable, finite for df > 1.
+
+    E|T| = 2 sqrt(df) G / (sqrt(pi) (df - 1)) with G = Gamma(x + 1/2) / Gamma(x)
+    and x = df / 2.  The difference of two ``lgamma`` values cancels as df
+    grows, so from df = 100 on, log(G / sqrt(x)) comes from its asymptotic
+    series instead, -1/(8x) + 1/(192x^3) - 1/(640x^5) + 17/(14336x^7),
+    whose next term is below 1e-18 there.
+    """
     if not df > 1:
         raise ValueError("df must exceed 1")
-    ratio = math.exp(math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0))
-    return 2.0 * math.sqrt(df) * ratio / (math.sqrt(math.pi) * (df - 1.0))
+    if df < 100:
+        ratio = math.exp(math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0))
+        return 2.0 * math.sqrt(df) * ratio / (math.sqrt(math.pi) * (df - 1.0))
+    y = 2.0 / df  # 1/x
+    log_g = y * (-1 / 8 + y * y * (1 / 192 + y * y * (-1 / 640 + y * y * 17 / 14336)))
+    return math.sqrt(2.0 / math.pi) * (df / (df - 1.0)) * math.exp(log_g)
 
 
 def abs_t_sd(df: float) -> float:

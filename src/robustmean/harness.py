@@ -459,20 +459,47 @@ def _field(problem: str) -> str:
     return re.split(r"[.\[:]", problem, maxsplit=1)[0]
 
 
+def _repeated_keys(node, where: str, repeated: list[tuple[dict, list[str]]]) -> list[str]:
+    """A problem for each repeated key of the JSON objects in ``node``, which sits at ``where`` in the config.
+
+    ``repeated`` pairs each object that repeats a key with those keys; an
+    object that a repeated key replaced is not in ``node`` and goes unnamed.
+    """
+    if isinstance(node, list):
+        return [problem for index, item in enumerate(node) for problem in _repeated_keys(item, f"{where}[{index}]", repeated)]
+    if not isinstance(node, dict):
+        return []
+    prefix = f"{where}." if where else ""
+    problems = [f"{prefix}{key}: repeated key" for obj, keys in repeated if obj is node for key in keys]
+    for key, value in node.items():
+        problems += _repeated_keys(value, prefix + key, repeated)
+    return problems
+
+
 def parse_config(text: str) -> ExperimentSpec:
     """Parse a JSON experiment description, rejecting anything unrecognised.
 
     Collects every problem before raising, so one round trip reports all
     violated fields.  The values are checked by :func:`validate_spec`.
     """
+    repeated = []  # each JSON object that repeats a key, with those keys
+
+    def json_object(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated.append((obj, [key for key in obj if keys.count(key) > 1]))
+        return obj
+
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=json_object)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: not valid JSON ({exc})"]) from exc
     if not isinstance(payload, dict):
         raise ConfigError(["config: must be a JSON object"])
 
-    problems = [f"{key}: unknown field" for key in sorted(set(payload) - _TOP_KEYS)]
+    problems = _repeated_keys(payload, "", repeated) if repeated else []
+    problems += [f"{key}: unknown field" for key in sorted(set(payload) - _TOP_KEYS)]
     problems += [f"{key}: required field is missing" for key in _REQUIRED_KEYS if key not in payload]
     if "schema_version" in payload and payload["schema_version"] != SCHEMA_VERSION:
         problems.append(f"schema_version: expected {SCHEMA_VERSION}, got {payload['schema_version']!r}")

@@ -34,7 +34,8 @@ def test_every_benchmark_command_line_parses_and_runs(tmp_path, capsys, name):
 
 def test_profile_script_prints_each_functions_share_of_cli_main():
     script = Path(__file__).parents[1] / "scripts" / "profile_workload.py"
-    argv = [sys.executable, str(script), "--workload", "estimate_cli", "--calls", "1", "--seed", "0", "--top", "100"]
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(script),
+            "--workload", "estimate_cli", "--calls", "1", "--seed", "0", "--top", "100"]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()

@@ -18,6 +18,9 @@ from robustmean import cli
 from robustmean.cli import main
 from test_estimators import bits
 
+# the interpreter of the child processes, under the same warning gate as this one
+PYTHON = (sys.executable, "-W", "error::RuntimeWarning")
+
 GOOD_CONFIG = {
     "schema_version": 1,
     "N": 500,
@@ -363,6 +366,24 @@ def test_simulate_non_finite_cell_exits_1_with_the_overflow_line(tmp_path, capsy
     assert captured.err == "error: the numbers are too large to summarise: squaring or summing them overflows\n"
 
 
+def test_an_overflow_outside_estimation_prints_its_own_message(monkeypatch, capsys):
+    def overflows(**kwargs):
+        raise OverflowError("boom")
+
+    monkeypatch.setattr(cli, "figure_grid_table", overflows)
+    assert main(["paper-figures", "--reps", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: boom\n")
+
+
+def test_paper_figures_with_more_reps_than_memory_fails_without_the_too_large_line(capsys):
+    # the results array is sized before any replication runs, so this fails at once
+    assert main(["paper-figures", "--reps", str(10**23)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "too large to summarise" not in captured.err
+
+
 def test_unknown_subcommand_and_flag_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["estimate", "--no-such-flag"]) == 2
@@ -406,9 +427,9 @@ def test_usage_errors_leave_the_shared_parser_as_fresh(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     fresh = []
     for argv in calls:
-        proc = subprocess.run([sys.executable, "-m", "robustmean.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+        proc = subprocess.run([*PYTHON, "-m", "robustmean.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
         fresh.append([proc.returncode, proc.stdout, proc.stderr])
-    proc = subprocess.run([sys.executable, "-c", _CALLS_IN_ONE_PROCESS, json.dumps(calls)], capture_output=True, text=True,
+    proc = subprocess.run([*PYTHON, "-c", _CALLS_IN_ONE_PROCESS, json.dumps(calls)], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert json.loads(proc.stdout) == fresh
     assert [status for status, _, _ in fresh] == [2, 2, 0, 2, 0]
@@ -417,7 +438,7 @@ def test_usage_errors_leave_the_shared_parser_as_fresh(tmp_path):
 def run_cli_process(argv, **popen):
     """``robustmean`` in a child process reading "1\\n2\\n" from stdin; its exit status and stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "robustmean.cli", *argv], input=b"1\n2\n", stderr=subprocess.PIPE,
+    proc = subprocess.run([*PYTHON, "-m", "robustmean.cli", *argv], input=b"1\n2\n", stderr=subprocess.PIPE,
                           env=env, timeout=120, **popen)
     return proc.returncode, proc.stderr
 

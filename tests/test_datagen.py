@@ -27,6 +27,7 @@ def test_abs_t_moments_at_df4_are_unit():
     # wobbles in the last few ulps
     assert abs(abs_t_mean(4.0) - 1.0) < 1e-12
     assert abs(abs_t_sd(4.0) - 1.0) < 1e-12
+    assert abs_t_mean(4.0).hex() == "0x1.0000000000002p+0"  # below df = 100 the lgamma formula keeps its bits
 
 
 @pytest.mark.parametrize("df", [2.5, 3.0, 4.0, 7.5, 30.0])
@@ -34,6 +35,17 @@ def test_abs_t_mean_matches_integration_oracle(df):
     oracle, err = integrate.quad(lambda x: 2.0 * x * stats.t.pdf(x, df), 0.0, np.inf)
     assert err < 1e-7
     assert abs(abs_t_mean(df) - oracle) < 1e-7
+
+
+@pytest.mark.parametrize("df", [1e8, 1e10, 1e12, 1e15, 1e100, 1e300])
+def test_abs_t_moments_follow_their_large_df_expansion(df):
+    # E|T| = sqrt(2/pi) (1 + 3/(4 df) + O(1/df^2)); a difference of lgamma values loses these digits
+    assert math.isclose(abs_t_mean(df), math.sqrt(2.0 / math.pi) * (1.0 + 3.0 / (4.0 * df)), rel_tol=1e-13, abs_tol=0.0)
+    assert math.isclose(abs_t_sd(df), math.sqrt((1.0 - 2.0 / math.pi) + (2.0 - 3.0 / math.pi) / df), rel_tol=1e-13, abs_tol=0.0)
+
+
+def test_abs_t_mean_meets_its_series_at_df_100():
+    assert math.isclose(abs_t_mean(math.nextafter(100.0, 0.0)), abs_t_mean(100.0), rel_tol=1e-13, abs_tol=0.0)
 
 
 def test_abs_t_moment_domains():

@@ -454,15 +454,21 @@ def test_a_failed_replication_raises_the_serial_error(monkeypatch, workers, fail
     assert_no_child_left()
 
 
-# 6 replications over 2 workers; the forked run goes first, since the freed rows of
-# a serial run of the same shape could otherwise stand in for the rows of a child
-@pytest.mark.parametrize("kill, parent_ran", [(None, [0, 1, 2]), (4, [0, 1, 2, 3, 4, 5])], ids=["child-done", "child-killed"])
+# 6 replications over 2 workers, or 9 over 3 with both children killed; the forked run goes
+# first, since the freed rows of a serial run of the same shape could otherwise stand in for
+# the rows of a child
+@pytest.mark.parametrize(
+    "replications, workers, kills, parent_ran",
+    [(6, 2, (), [0, 1, 2]), (6, 2, (4,), [0, 1, 2, 3, 4, 5]), (9, 3, (4, 7), [0, 1, 2, 3, 4, 5, 6, 7, 8])],
+    ids=["child-done", "child-killed", "two-children-killed"],
+)
 def test_a_childs_rows_reach_the_parent_and_a_dead_childs_range_runs_again(
-    two_cpus_counting_forks, monkeypatch, kill, parent_ran
+    monkeypatch, replications, workers, kills, parent_ran
 ):
     import robustmean.harness
 
-    spec = small_spec(replications=6)
+    forks = counting_forks(monkeypatch, workers)
+    spec = small_spec(replications=replications)
     test_pid = os.getpid()
     index = {substream_seed(spec.base_seed, "contaminate", r): r for r in range(spec.replications)}
     ran = []
@@ -470,14 +476,14 @@ def test_a_childs_rows_reach_the_parent_and_a_dead_childs_range_runs_again(
     def planted(values, contamination, seed):
         if os.getpid() == test_pid:
             ran.append(index[seed])
-        elif index[seed] == kill:
+        elif index[seed] in kills:
             os.kill(os.getpid(), 9)  # the child dies without raising
         return contaminate(values, contamination, seed)
 
     monkeypatch.setattr(robustmean.harness, "contaminate", planted)
-    forked = run_experiment(spec, jobs=2)
+    forked = run_experiment(spec, jobs=workers)
     assert ran == parent_ran
-    assert len(two_cpus_counting_forks) == 1
+    assert len(forks) == workers - 1
     assert_no_child_left()
     assert repr(forked) == repr(run_experiment(spec))
 
@@ -703,13 +709,17 @@ def test_parse_config_collects_all_problems_in_one_pass():
         "estimators": [{"kind": "mom"}],
         "replications": 0,
         "base_seed": -1,
+        "contamination": {"count": 3, "value": 5.0},
     }
+    # JSON keeps the last value of a repeated key, so without its own problem the contamination would pass
+    config = json.dumps(payload).replace('"count": 3', '"count": 3, "count": 2')
     with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(payload))
+        parse_config(config.replace('"distribution"', '"distribution": {"kind": "normal"}, "distribution"'))
     text = str(err.value)
-    # shape and range problems are all reported together
+    # shape, range and repeated-key problems are all reported together
     for needle in ("schema_version", "N", "distribution.kind", "k_grid", "replications", "base_seed"):
         assert needle in text, text
+    assert err.value.errors[:2] == ["distribution: repeated key", "contamination.count: repeated key"]
 
 
 def test_parse_config_reports_a_kind_that_is_not_a_string():
