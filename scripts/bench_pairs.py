@@ -49,6 +49,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TOTALS = ("estimators.values_summarised", "estimators.blocks_summarised", "datagen.values_drawn", "cli.bytes_parsed")
 MAIN_CALLS = "cli.main.calls"
 PER_CALL = "/call"
+# the warning filter of every benchmark process, as tier-1 sets it for its tests
+WARNING_GATE = "error::RuntimeWarning"
 
 
 def git(*args: str) -> str:
@@ -65,13 +67,17 @@ def export(revision: str, dest: Path) -> None:
 def bench(tree: Path, bench_args: list[str]) -> dict:
     """One run of the benchmark in ``tree``; its result line.
 
-    The run is a process group of its own.  If this script stops before
-    the run ends (a signal, an interrupt, the timeout), the whole group is
-    killed and the ``.perfbench-*`` work directories it left in ``tree``
-    are removed.
+    The run has ``PYTHONWARNINGS=error::RuntimeWarning`` in its
+    environment, and so has every Python process it starts, so a numpy
+    warning inside a timed call fails that call, on either side.  The run
+    is a process group of its own.  If this script stops before the run
+    ends (a signal, an interrupt, the timeout), the whole group is killed
+    and the ``.perfbench-*`` work directories it left in ``tree`` are
+    removed.
     """
     workdirs = set(tree.glob(".perfbench-*"))
-    with subprocess.Popen([sys.executable, "perfbench/run.py", *bench_args], cwd=tree, stdout=subprocess.PIPE,
+    env = {**os.environ, "PYTHONWARNINGS": WARNING_GATE}
+    with subprocess.Popen([sys.executable, "perfbench/run.py", *bench_args], cwd=tree, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, start_new_session=True) as child:
         try:
             stdout, stderr = child.communicate(timeout=3600)

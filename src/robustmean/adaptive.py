@@ -22,6 +22,7 @@ from .estimators import (
     BlockSummary,
     Sample,
     _inverse_power_ratios,
+    _median,
     block_summaries,
     check_fields,
     partition,
@@ -92,7 +93,7 @@ def robust_sigma(sample: Sample) -> ScaleEstimate:
         np.abs(gaps, out=gaps).sort(axis=1)
         # each group's median, the mean of its central pair as np.median takes it
         medians = (gaps[:, 24] + gaps[:, 25]) / 2.0
-        return ScaleEstimate(float(np.median(medians)) * _MEDIAN_GAP_TO_MEAN_GAP, groups)
+        return ScaleEstimate(_median(medians) * _MEDIAN_GAP_TO_MEAN_GAP, groups)
 
 
 def harmonic_mean_inverse(summaries: Sequence[BlockSummary], p: float) -> float:

@@ -98,6 +98,7 @@ def _read_numbers(handle) -> np.ndarray:
         raise RuntimeError("no numbers in input")
     if non_finite is not None:
         _raise_at_first(*non_finite, finite=True)
+    numbers.setflags(write=False)  # nothing else holds it, so Sample need not copy it
     return numbers
 
 

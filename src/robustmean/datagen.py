@@ -142,6 +142,7 @@ def sample(dist: DistributionSpec, n: int, seed: int) -> Sample:
     else:
         # inverse CDF on 1-u, which lies in (0, 1]: rng.random can return 0 but never 1
         values = dist.scale * (1.0 - rng.random(n)) ** (-1.0 / dist.shape)
+    values.setflags(write=False)  # nothing else holds it, so Sample need not copy it
     return Sample(values)
 
 
@@ -155,4 +156,5 @@ def contaminate(s: Sample, spec: ContaminationSpec, seed: int) -> Sample:
         positions = generator(seed).choice(s.n, size=spec.count, replace=False)
         values[positions] = spec.value
         mask[positions] = True
+    values.setflags(write=False)
     return Sample(values, mask)

@@ -14,7 +14,7 @@ import math
 import numbers
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,10 +68,14 @@ class Sample:
 
     The mask is experiment bookkeeping only: no estimator reads it.  Raw
     draws carry ``outlier_mask=None``; contamination fills the mask in.
+    The values are read-only.  A writeable array, or a view, is copied;
+    one that owns its memory and is read-only already is kept as it is.
     """
 
     values: np.ndarray
     outlier_mask: np.ndarray | None = None
+    # _split_values(values), filled by the first block_summaries call
+    _parts: list[np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -79,6 +83,10 @@ class Sample:
             raise ValueError("values must be a non-empty 1-d array")
         if not np.isfinite(values).all():
             raise ValueError("values must be finite: NaN and infinity have no mean")
+        if not values.flags.owndata or (values is self.values and values.flags.writeable):
+            # a later write through the caller's array would leave the kept split stale
+            values = values.copy()
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.outlier_mask is not None:
             mask = np.asarray(self.outlier_mask, dtype=bool)
@@ -89,6 +97,12 @@ class Sample:
     @property
     def n(self) -> int:
         return self.values.size
+
+    def _split(self) -> list[np.ndarray]:
+        """:func:`_split_values` of the values, made on the first call and kept."""
+        if self._parts is None:
+            object.__setattr__(self, "_parts", _split_values(self.values))
+        return self._parts
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,19 +320,60 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
 # every |d| = |v - mean| is at most 2A < 2**449, so every square is below
 # 2**898.  Two distinct doubles of magnitude at most A differ by at least
 # 2**-53 A, so with A >= 2**-390 the largest |d| around any mean is at
-# least 2**-55 A and the largest square at least 2**-890.  Both
-# _exact_sums calls therefore see row maxima inside [2**-900, 2**900), or 0.
+# least 2**-55 A and the largest square at least 2**-890.  Every
+# _exact_sums call therefore sees row maxima inside [2**-900, 2**900), or 0.
 _ROW_RANGE = (2.0**-390, 2.0**448)
 
 
-def _rows_stats(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.ndarray) -> None:
-    """Write the mean and sd of each block of ``x``: blocks at ``starts`` of ``sizes`` values, covering ``x``.
+def _split_values(values: np.ndarray) -> list[np.ndarray]:
+    """Two parts of ``values`` whose sums over any block of any partition are exact; none when the values span too far.
 
-    A row is a block that is not constant and has its largest |value| in
-    :data:`_ROW_RANGE`.  Every other block enters :func:`_exact_sums` as
-    zeros; then a constant one takes its value as mean, and the rest, with
-    every row whose sums are not certified, run :func:`_fsum_stats`.
+    ``first`` is :func:`_exact_sums`' first pass with one ``sigma`` for the
+    whole sample, a power of two at least ``2**m`` times its largest
+    |value| below 2**448, where ``2**m >= n + 2`` bounds the length of
+    every block, so ``first`` sums exactly in any block.  When every
+    nonzero |value| is at least ``2**52 * g``, with ``g = 2**(m - 104) *
+    sigma``, each value is a multiple of g, and so are ``first`` and the
+    rest ``x - first``.  A block's rests, each at most ``2**-53 * sigma``
+    in magnitude, then sum to a multiple of g under ``2**51 * g``, exactly.
+    A sample with a smaller nonzero |value| gets no parts, and its blocks
+    extract their sums with their own ``sigma``.  A value at or above
+    2**448 is in no row and enters as 0, so no block's part sum overflows.
     """
+    m = (values.size + 1).bit_length()
+    x = values
+    first = np.abs(x)  # the magnitudes, until first takes its own values
+    top = first.max()
+    if not top < _ROW_RANGE[1]:
+        x = np.where(first < _ROW_RANGE[1], x, 0.0)
+        top = np.abs(x, out=first).max()
+    e = math.frexp(top)[1]  # top < 2**e, so sigma = 2**(e + m)
+    least = first.min()
+    if least == 0.0:
+        least = np.min(first, where=x != 0.0, initial=math.inf)
+    if least < math.ldexp(1.0, e + 2 * m - 52):
+        return []
+    sigma = math.ldexp(1.0, e + m)
+    np.add(sigma, x, out=first)
+    first -= sigma
+    return [first, x - first]
+
+
+def _rows_stats(
+    run: tuple[np.ndarray, list[np.ndarray]], starts: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.ndarray
+) -> None:
+    """Write the mean and sd of each block of a run: blocks at ``starts`` of ``sizes`` values, covering it.
+
+    ``run`` is the run's values and its slices of the sample's parts (see
+    :func:`_split_values`), whose sums are every block's sum; with no
+    parts, :func:`_exact_sums` extracts the sums block by block.  A row is
+    a block that is not constant and has its largest |value| in
+    :data:`_ROW_RANGE`.  Every other block takes mean 0 and enters the
+    squares as zeros; then a constant one takes its value as mean, and the
+    rest, with every row whose sums are not certified, run
+    :func:`_fsum_stats`.
+    """
+    x, parts = run
     low = np.minimum.reduceat(x, starts)
     high = np.maximum.reduceat(x, starts)
     amax = np.maximum(high, -low)
@@ -326,9 +381,14 @@ def _rows_stats(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, means: np.
     y = x
     if not rows.all():
         y = np.where(np.repeat(rows, sizes), x, 0.0)
-        amax = np.where(rows, amax, 0.0)
-    sums, certified = _exact_sums(y, starts, sizes, amax)
+    if parts:
+        # two exact sums: their rounded sum is the exact sum's rounding
+        sums, certified = np.add.reduceat(parts[0], starts) + np.add.reduceat(parts[1], starts), True
+    else:
+        sums, certified = _exact_sums(y, starts, sizes, np.where(rows, amax, 0.0))
     np.divide(sums, sizes, out=means)
+    if y is not x:
+        means[~rows] = 0.0
     # float_power calls libm pow per value, as Python's ** does (np.power squares by
     # d * d), and on |d|, which is what CPython's float_pow hands pow for a negative d
     squares = y - np.repeat(means, sizes)
@@ -357,21 +417,25 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
     single-block mean is the correctly rounded sample mean.  A constant
     block reports its value and sd 0 without any rounding.  A block that
     is not constant and whose largest |value| lies in :data:`_ROW_RANGE`
-    keeps the result of :func:`_exact_sums` over the flat array, squared by
-    libm ``pow`` on |d| as ``**`` squares; a block outside it, or whose sum
-    or sum of squares is not certified, runs :func:`_fsum_stats` instead.
+    keeps its sum from the sample's parts (see :func:`_split_values`,
+    made on the sample's first call and kept) and its squares' sum from
+    :func:`_exact_sums` over the flat array, squared by libm ``pow`` on |d|
+    as ``**`` squares; a block outside it, or whose sum or sum of squares
+    is not certified, runs :func:`_fsum_stats` instead.
     """
     values = sample.values
     if part.n != values.size:
         raise ValueError("partition does not cover this sample")
+    parts = sample._split()
     bounds = part.boundaries
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     means, sds = np.empty(part.k), np.empty(part.k)
     # a run starts at the first block that starts at or after each multiple of _RUN_VALUES
     cuts = sorted({bisect_left(starts, w) for w in range(_RUN_VALUES, bounds[-2] + 1, _RUN_VALUES)})
     for a, b in zip([0, *cuts], [*cuts, part.k]):
-        lo = bounds[a]
-        _rows_stats(values[lo : bounds[b]], starts[a:b] - lo, sizes[a:b], means[a:b], sds[a:b])
+        lo, hi = bounds[a], bounds[b]
+        run = (values[lo:hi], [p[lo:hi] for p in parts])
+        _rows_stats(run, starts[a:b] - lo, sizes[a:b], means[a:b], sds[a:b])
     means.setflags(write=False)
     sds.setflags(write=False)
     return BlockSummaries(means, sds, sizes)
@@ -434,16 +498,19 @@ def weighted_mean(summaries: Sequence[BlockSummary], p: float) -> float:
 
 
 def median_of_means(summaries: Sequence[BlockSummary]) -> float:
-    """Median of the block means; an even count averages the central pair.
+    """Median of the block means; an even count averages the central pair, as :func:`_median` does."""
+    return _median(_block_arrays(summaries).means)
 
-    The result is ``np.median``'s, bit for bit: the same partition puts a
-    NaN, if any, last, and adding 0.0 first, as ``np.mean`` does, turns a
-    middle -0.0 into 0.0.
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-d array, bit for bit, without the ``numpy.ma`` import its first call makes.
+
+    The same partition puts a NaN, if any, last, and adding 0.0 first, as
+    ``np.mean`` does, turns a middle -0.0 into 0.0.
     """
-    means = _block_arrays(summaries).means
-    half = means.size // 2
-    odd = means.size % 2
-    ordered = np.partition(means, [half, -1] if odd else [half - 1, half, -1])
+    half = values.size // 2
+    odd = values.size % 2
+    ordered = np.partition(values, [half, -1] if odd else [half - 1, half, -1])
     if math.isnan(ordered[-1]):
         return float(ordered[-1])
     if odd:

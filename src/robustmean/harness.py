@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,12 @@ def validate_spec(spec: ExperimentSpec) -> list[str]:
         problems.append("N: must be a positive integer")
     if not (is_int(spec.replications) and spec.replications >= 1):
         problems.append("replications: must be a positive integer")
+    elif isinstance(spec.k_grid, (tuple, list)):
+        # run_experiment's errors array, a float64 per replication, estimator and k
+        size = 8 * spec.replications * len(spec.estimators) * len(spec.k_grid)
+        if size > sys.maxsize:
+            problems.append(f"replications: {spec.replications} need {size} bytes of errors, "
+                            f"more than the {sys.maxsize} this platform can address")
     if not (is_int(spec.base_seed) and 0 <= spec.base_seed < 2**64):
         problems.append("base_seed: must be an integer in [0, 2**64)")
     if not isinstance(spec.k_grid, (tuple, list)) or not spec.k_grid:

@@ -163,10 +163,13 @@ def test_directions_come_from_benchmark_json_with_or_without_a_workload_prefix()
 
 
 # A stand-in for perfbench/run.py: quick on the first pair, then a slow run
-# that leaves a work directory and a grandchild, and records both pids.
+# that leaves a work directory and a grandchild, and records both pids.  It
+# fails at once without the warning gate in its environment.
 STUB_RUN = """
 import json, os, subprocess, sys, tempfile, time
 from pathlib import Path
+if os.environ.get("PYTHONWARNINGS") != "error::RuntimeWarning":
+    sys.exit("run without the RuntimeWarning gate")
 state = Path(os.environ["STUB_STATE"])
 with open(state / "calls", "a") as calls:
     calls.write("call\\n")

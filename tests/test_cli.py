@@ -376,11 +376,12 @@ def test_an_overflow_outside_estimation_prints_its_own_message(monkeypatch, caps
 
 
 def test_paper_figures_with_more_reps_than_memory_fails_without_the_too_large_line(capsys):
-    # the results array is sized before any replication runs, so this fails at once
-    assert main(["paper-figures", "--reps", str(10**23)]) == 1
+    # the spec's check refuses an errors array past sys.maxsize bytes before anything is sized
+    assert main(["paper-figures", "--reps", str(10**23)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err == (f"config error: replications: {10**23} need {8 * 4 * 8 * 10**23} bytes of errors, "
+                            f"more than the {sys.maxsize} this platform can address\n")
     assert "too large to summarise" not in captured.err
 
 
@@ -413,6 +414,25 @@ for argv in json.loads(sys.argv[1]):
         results.append([main(argv), out.getvalue(), err.getvalue()])
 print(json.dumps(results))
 """
+
+
+# an adaptive estimate in a fresh process, then whether it imported numpy.ma
+_ADAPTIVE_IMPORTS = """
+import sys
+from robustmean.cli import main
+status = main(sys.argv[1:])
+print(status, "numpy.ma" in sys.modules)
+"""
+
+
+def test_an_adaptive_estimate_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call; robust_sigma's median does not
+    src = write_numbers(tmp_path / "halft.txt", np.abs(np.random.default_rng(4).standard_t(4, 1000)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([*PYTHON, "-c", _ADAPTIVE_IMPORTS, "estimate", src, "--estimator", "adaptive"],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_usage_errors_leave_the_shared_parser_as_fresh(tmp_path):

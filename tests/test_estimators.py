@@ -461,6 +461,125 @@ def test_a_run_of_every_special_kind_warns_nothing():
     assert bits(got.sds) == bits(want_sds)
 
 
+# ------------------------------------------------- the sample's split, made once
+
+
+def assert_summaries_equal_the_fsum_loop(s, part):
+    got = block_summaries(s, part)
+    want_means, want_sds = oracle_block_stats(np.asarray(s.values), part)
+    assert bits(got.means) == bits(want_means)
+    assert bits(got.sds) == bits(want_sds)
+
+
+def counting_fsum_stats(monkeypatch):
+    """The sizes of the blocks that :func:`_fsum_stats` summarises from now on."""
+    fsum_stats = robustmean.estimators._fsum_stats
+    calls = []
+    monkeypatch.setattr(robustmean.estimators, "_fsum_stats", lambda block: calls.append(block.size) or fsum_stats(block))
+    return calls
+
+
+def test_one_split_serves_every_block_count_in_any_order():
+    s = Sample(contaminated_half_t(500))
+    ks = [1, 2, 3, 7, 50, 333, 499, 500]
+    for k in [*ks, *reversed(ks), 7, 7, 500, 1, 1]:
+        assert_summaries_equal_the_fsum_loop(s, partition(s.n, k))
+    assert len(s._split()) == 2
+
+
+def test_two_parts_take_every_value_whole():
+    # the paper's grid: outliers at 1000 among standardised half-t values
+    x = sample(DistributionSpec.half_t(4), 2500, seed=8).values.copy()
+    x[np.random.default_rng(8).choice(x.size, 150, replace=False)] = 1000.0
+    s = Sample(x)
+    first, second = s._split()
+    assert (first + second == x).all() and second.any()
+    for k in (1, 25, 200, 2500):
+        assert_summaries_equal_the_fsum_loop(s, partition(s.n, k))
+
+
+def test_values_too_wide_for_one_sigma_extract_block_by_block(monkeypatch):
+    # outliers at 1e5 among values near 1e-3: their last bits lie below what
+    # two parts of the sample's sigma hold, so each block extracts its own sums
+    rng = np.random.default_rng(3)
+    x = rng.uniform(1e-4, 2e-3, 4000)
+    x[rng.choice(x.size, 40, replace=False)] = 1e5
+    s = Sample(x)
+    calls = counting_fsum_stats(monkeypatch)
+    for k in (1, 8, 50, 4000):
+        assert_summaries_equal_the_fsum_loop(s, partition(s.n, k))
+    assert s._split() == [] and calls == []
+
+
+def test_a_rest_that_tips_a_midpoint_still_goes_to_the_fsum_loop(monkeypatch):
+    # values from 2**-380 to 2**440: one sigma cannot split them, and in the
+    # block [2**440, 2**387, 2**-380] the least tips the sum past the
+    # midpoint 2**440 + 2**387, which only the fsum loop rounds up
+    tipped = [2.0**440, 2.0**387, 2.0**-380]
+    x = np.concatenate([np.linspace(1.0, 2.0, 9), tipped, np.linspace(-3.0, 3.0, 9)])
+    s = Sample(x)
+    calls = counting_fsum_stats(monkeypatch)
+    assert_summaries_equal_the_fsum_loop(s, BlockPartition(np.array([0, 9, 12, 21])))
+    assert s._split() == [] and calls == [3]
+    assert block_summaries(s, BlockPartition(np.array([0, 9, 12, 21]))).means[1] == (2.0**440 + 2.0**388) / 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_values_past_the_row_range_raise_the_fsum_loops_overflow_error_after_a_split(k):
+    # the split takes the two huge values as 0, so it is made; their block, the
+    # last at every k, still raises the fsum loop's own OverflowError
+    x = np.concatenate([np.linspace(-1.0, 1.0, 20), [1e308, 1.7e308]])
+    s = Sample(x)
+    with pytest.raises(OverflowError) as want:
+        oracle_block_stats(x, partition(s.n, k))
+    with pytest.raises(OverflowError) as got:
+        block_summaries(s, partition(s.n, k))
+    assert got.value.args == want.value.args
+    first, second = s._split()
+    assert (first[-2:] == 0.0).all() and (second[-2:] == 0.0).all()
+
+
+def test_zero_constant_and_tiny_blocks_beside_a_split(monkeypatch):
+    blocks = [np.zeros(10), np.full(10, 3.25), np.linspace(-1.0, 1.0, 10), np.full(10, -0.0)]
+    s = Sample(np.concatenate(blocks))
+    calls = counting_fsum_stats(monkeypatch)
+    for k in (4, 2, 1, 40):
+        assert_summaries_equal_the_fsum_loop(s, partition(s.n, k))
+    assert len(s._split()) == 2 and calls == []
+    # every value under 2**-390: split too, but no block is a row
+    tiny = Sample(np.linspace(-1.0, 1.0, 40) * 2.0**-400)
+    for k in (4, 1):
+        assert_summaries_equal_the_fsum_loop(tiny, partition(tiny.n, k))
+    assert len(tiny._split()) == 2
+
+
+def test_a_split_sample_over_several_runs():
+    # values with magnitudes in [1, 2), narrow enough for two parts at this n
+    rng = np.random.default_rng(70)
+    x = rng.choice([-1.0, 1.0], 70000) * rng.uniform(1.0, 2.0, 70000)
+    s = Sample(x)
+    for k, runs in ((1, 1), (3, 2), (7000, 3)):
+        assert_summaries_equal_the_fsum_loop(s, partition(s.n, k))
+        _, taken = summaries_in_runs(x, partition(x.size, k), robustmean.estimators._RUN_VALUES)
+        assert len(taken) == runs
+    assert len(s._split()) == 2
+
+
+def test_writing_the_callers_array_leaves_a_later_summary_as_it_was():
+    x = contaminated_half_t(1000)
+    kept = x.copy()
+    s = Sample(x)
+    view = Sample(x[::2])
+    block_summaries(s, partition(s.n, 10))
+    x[:] = 7.0
+    assert_summaries_equal_the_fsum_loop(s, partition(s.n, 25))
+    assert bits(s.values) == bits(kept) and bits(view.values) == bits(kept[::2])
+    with pytest.raises(ValueError, match="read-only"):
+        s.values[0] = 1.0
+    # a read-only array is taken as it is
+    assert Sample(s.values).values is s.values
+
+
 # ------------------------------------------------------------- weight base
 
 

@@ -100,6 +100,17 @@ def test_validate_spec_flags_k_beyond_n():
     assert any("k_grid" in p and "501" in p for p in problems)
 
 
+def test_validate_spec_flags_replications_whose_errors_no_platform_can_address():
+    spec = small_spec()
+    cells = len(spec.estimators) * len(spec.k_grid)
+    most = sys.maxsize // (8 * cells)  # the errors array of `most` replications still fits
+    assert validate_spec(small_spec(replications=most)) == []
+    assert validate_spec(small_spec(replications=most + 1)) == [
+        f"replications: {most + 1} need {8 * cells * (most + 1)} bytes of errors, "
+        f"more than the {sys.maxsize} this platform can address"
+    ]
+
+
 def test_validate_spec_flags_contamination_count():
     problems = validate_spec(small_spec(contamination=ContaminationSpec(500)))
     assert any("contamination.count" in p for p in problems)
