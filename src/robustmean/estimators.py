@@ -10,6 +10,7 @@ as an oracle that is told the contamination fraction.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from bisect import bisect_left
@@ -76,6 +77,7 @@ class Sample:
     outlier_mask: np.ndarray | None = None
     # _split_values(values), filled by the first block_summaries call
     _parts: list[np.ndarray] | None = field(default=None, init=False, repr=False)
+    _rows_from: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -99,9 +101,14 @@ class Sample:
         return self.values.size
 
     def _split(self) -> list[np.ndarray]:
-        """:func:`_split_values` of the values, made on the first call and kept."""
+        """The parts :func:`_split_values` gives the values, made on the first call and kept.
+
+        The same call keeps the row length it gives in ``_rows_from``.
+        """
         if self._parts is None:
-            object.__setattr__(self, "_parts", _split_values(self.values))
+            parts, rows_from = _split_values(self.values)
+            object.__setattr__(self, "_rows_from", rows_from)
+            object.__setattr__(self, "_parts", parts)
         return self._parts
 
 
@@ -111,10 +118,17 @@ class BlockPartition:
 
     ``boundaries`` holds k+1 offsets; block j is
     ``[boundaries[j], boundaries[j+1])``.  Use :func:`partition` to build
-    the canonical balanced partition.
+    the canonical balanced partition.  The boundaries are read-only, copied
+    from a writeable array or a view as :class:`Sample` copies its values,
+    and so are the facts kept from them: each block's start and size, the
+    smallest size, and the exponent ``m`` of :func:`_exact_sums` for them.
     """
 
     boundaries: np.ndarray
+    starts: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
+    min_size: int = field(init=False, repr=False)
+    m: int = field(init=False, repr=False)
 
     def __post_init__(self):
         bounds = np.asarray(self.boundaries)
@@ -125,9 +139,16 @@ class BlockPartition:
             if not np.array_equal(cast, bounds):
                 raise ValueError(f"boundaries must be integers, got {bounds!r}")
             bounds = cast
+        if not bounds.flags.owndata or (bounds is self.boundaries and bounds.flags.writeable):
+            bounds = bounds.copy()
         if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0 or np.any(np.diff(bounds) < 1):
             raise ValueError("boundaries must start at 0 and strictly increase")
-        object.__setattr__(self, "boundaries", bounds)
+        sizes = np.diff(bounds)
+        bounds.setflags(write=False)
+        sizes.setflags(write=False)
+        for name, value in (("boundaries", bounds), ("starts", bounds[:-1]), ("sizes", sizes),
+                            ("min_size", int(sizes.min())), ("m", _extraction_exponent(sizes))):
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
@@ -136,10 +157,6 @@ class BlockPartition:
     @property
     def n(self) -> int:
         return int(self.boundaries[-1])
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.boundaries)
 
     def blocks(self) -> list[tuple[int, int]]:
         bounds = self.boundaries
@@ -195,6 +212,18 @@ def partition(n: int, k: int) -> BlockPartition:
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k} for n={n}")
+    # every partition is read-only, so one built before serves every later call
+    build = _balanced if k <= _CACHED_BLOCKS else _balanced.__wrapped__
+    return build(int(n), int(k))
+
+
+# partition() keeps its 64 latest partitions of at most this many blocks:
+# 16 bytes a block, 16 MiB at most
+_CACHED_BLOCKS = 2**14
+
+
+@functools.lru_cache(maxsize=64)
+def _balanced(n: int, k: int) -> BlockPartition:
     sizes = np.full(k, n // k, dtype=np.int64)
     sizes[: n % k] += 1
     return BlockPartition(np.concatenate(([0], np.cumsum(sizes))))
@@ -264,14 +293,22 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - bv)) + (b - bv)
 
 
-def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _extraction_exponent(sizes: np.ndarray) -> int:
+    """The least ``m`` with ``2**m >= L + 2`` for every block length L in ``sizes``."""
+    return int(sizes.max() + 1).bit_length()
+
+
+def _exact_sums(
+    x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.ndarray, m: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Each row's sum rounded once, as ``math.fsum`` gives it, and whether that is certified.
 
     Rows are the segments of ``x`` that start at ``starts``; ``amax`` is
     each row's largest |value|.  The method is AccSum-style extraction
     (Rump, Ogita and Oishi 2008, *Accurate floating-point summation*):
     with ``sigma`` a power of two at least ``2**m`` times every |value|
-    of its row, where ``2**m >= L + 2`` for every row length L,
+    of its row, where ``2**m >= L + 2`` for every row length L (``m``
+    is :func:`_extraction_exponent` of ``sizes`` when not given),
     ``q = (sigma + x) - sigma`` and ``x - q`` are exact and a row's q
     sum exactly in any order.  Two passes leave a residual, summed
     plainly under the error bound ``bound`` (4 L 2**-53 times the sum of
@@ -286,7 +323,8 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
     overflows nor underflows (see :data:`_ROW_RANGE`), or be 0 for a row of
     zeros, whose sum is an exact, certified 0.
     """
-    m = int(sizes.max() + 1).bit_length()
+    if m is None:
+        m = _extraction_exponent(sizes)
     sigma = np.repeat(np.ldexp(1.0, np.frexp(amax)[1] + m), sizes)
     high = sigma + x
     high -= sigma
@@ -325,8 +363,8 @@ def _exact_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.n
 _ROW_RANGE = (2.0**-390, 2.0**448)
 
 
-def _split_values(values: np.ndarray) -> list[np.ndarray]:
-    """Two parts of ``values`` whose sums over any block of any partition are exact; none when the values span too far.
+def _split_values(values: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """Two parts of ``values`` whose sums over any block are exact (none when the values span too far), and a row length.
 
     ``first`` is :func:`_exact_sums`' first pass with one ``sigma`` for the
     whole sample, a power of two at least ``2**m`` times its largest
@@ -339,6 +377,12 @@ def _split_values(values: np.ndarray) -> list[np.ndarray]:
     A sample with a smaller nonzero |value| gets no parts, and its blocks
     extract their sums with their own ``sigma``.  A value at or above
     2**448 is in no row and enters as 0, so no block's part sum overflows.
+
+    When every nonzero |value| lies in :data:`_ROW_RANGE`, a block that is
+    not constant has its largest |value| there, and a block longer than the
+    longest run of equal neighbours is not constant: every block of at least
+    that run's length plus one is a row, and that is the row length.
+    Otherwise it is ``n + 1``, which no block reaches.
     """
     m = (values.size + 1).bit_length()
     x = values
@@ -351,41 +395,59 @@ def _split_values(values: np.ndarray) -> list[np.ndarray]:
     least = first.min()
     if least == 0.0:
         least = np.min(first, where=x != 0.0, initial=math.inf)
+    rows_from = _longest_run(values) + 1 if x is values and least >= _ROW_RANGE[0] else values.size + 1
     if least < math.ldexp(1.0, e + 2 * m - 52):
-        return []
+        return [], rows_from
     sigma = math.ldexp(1.0, e + m)
     np.add(sigma, x, out=first)
     first -= sigma
-    return [first, x - first]
+    return [first, x - first], rows_from
+
+
+def _longest_run(x: np.ndarray) -> int:
+    """The length of the longest run of equal neighbours in ``x``; 0.0 and -0.0 are equal, as in a constant block."""
+    equal = np.flatnonzero(x[1:] == x[:-1])
+    if not equal.size:
+        return 1
+    # a run of r equal values is a stretch of r - 1 consecutive indices in equal
+    firsts = np.flatnonzero(np.diff(equal, prepend=-2) != 1)
+    return int(np.diff(firsts, append=equal.size).max()) + 1
 
 
 def _rows_stats(
-    run: tuple[np.ndarray, list[np.ndarray]], starts: np.ndarray, sizes: np.ndarray, means: np.ndarray, sds: np.ndarray
+    run: tuple[np.ndarray, list[np.ndarray], bool, int | None],
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    means: np.ndarray,
+    sds: np.ndarray,
 ) -> None:
     """Write the mean and sd of each block of a run: blocks at ``starts`` of ``sizes`` values, covering it.
 
-    ``run`` is the run's values and its slices of the sample's parts (see
-    :func:`_split_values`), whose sums are every block's sum; with no
-    parts, :func:`_exact_sums` extracts the sums block by block.  A row is
-    a block that is not constant and has its largest |value| in
-    :data:`_ROW_RANGE`.  Every other block takes mean 0 and enters the
-    squares as zeros; then a constant one takes its value as mean, and the
-    rest, with every row whose sums are not certified, run
-    :func:`_fsum_stats`.
+    ``run`` is the run's values, its slices of the sample's parts (see
+    :func:`_split_values`), whose sums are every block's sum, whether
+    every block is a row, and :func:`_exact_sums`' ``m``.  With no parts,
+    :func:`_exact_sums` extracts the sums block by block.  A row is a
+    block that is not constant and has its largest |value| in
+    :data:`_ROW_RANGE`; unless every block is known to be one, the blocks
+    are tested.  Every other block takes mean 0 and enters the squares as
+    zeros; then a constant one takes its value as mean, and the rest,
+    with every row whose sums are not certified, run :func:`_fsum_stats`.
     """
-    x, parts = run
-    low = np.minimum.reduceat(x, starts)
-    high = np.maximum.reduceat(x, starts)
-    amax = np.maximum(high, -low)
-    rows = (low != high) & (amax >= _ROW_RANGE[0]) & (amax < _ROW_RANGE[1])
-    y = x
-    if not rows.all():
-        y = np.where(np.repeat(rows, sizes), x, 0.0)
+    x, parts, every_row, m = run
+    rows, y = True, x
+    if not every_row:
+        low = np.minimum.reduceat(x, starts)
+        high = np.maximum.reduceat(x, starts)
+        amax = np.maximum(high, -low)
+        rows = (low != high) & (amax >= _ROW_RANGE[0]) & (amax < _ROW_RANGE[1])
+        if not rows.all():
+            y = np.where(np.repeat(rows, sizes), x, 0.0)
     if parts:
         # two exact sums: their rounded sum is the exact sum's rounding
         sums, certified = np.add.reduceat(parts[0], starts) + np.add.reduceat(parts[1], starts), True
     else:
-        sums, certified = _exact_sums(y, starts, sizes, np.where(rows, amax, 0.0))
+        amax = np.maximum.reduceat(np.abs(x), starts) if every_row else np.where(rows, amax, 0.0)
+        sums, certified = _exact_sums(y, starts, sizes, amax, m)
     np.divide(sums, sizes, out=means)
     if y is not x:
         means[~rows] = 0.0
@@ -393,13 +455,15 @@ def _rows_stats(
     # d * d), and on |d|, which is what CPython's float_pow hands pow for a negative d
     squares = y - np.repeat(means, sizes)
     np.float_power(np.abs(squares, out=squares), 2.0, out=squares)
-    square_sums, square_certified = _exact_sums(squares, starts, sizes, np.maximum.reduceat(squares, starts))
+    square_sums, square_certified = _exact_sums(squares, starts, sizes, np.maximum.reduceat(squares, starts), m)
     np.sqrt(np.divide(square_sums, sizes, out=sds), out=sds)
     done = rows & certified & square_certified
     if not done.all():
-        constant = low == high
-        means[constant] = x[starts[constant]]
-        for j in np.flatnonzero(~(done | constant)):
+        if not every_row:
+            constant = low == high
+            means[constant] = x[starts[constant]]
+            done |= constant
+        for j in np.flatnonzero(~done):
             means[j], sds[j] = _fsum_stats(x[starts[j] : starts[j] + sizes[j]])
 
 
@@ -421,21 +485,27 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
     made on the sample's first call and kept) and its squares' sum from
     :func:`_exact_sums` over the flat array, squared by libm ``pow`` on |d|
     as ``**`` squares; a block outside it, or whose sum or sum of squares
-    is not certified, runs :func:`_fsum_stats` instead.
+    is not certified, runs :func:`_fsum_stats` instead.  When every block is
+    at least the sample's row length long (see :func:`_split_values`), no
+    block is tested for being a row.
     """
     values = sample.values
     if part.n != values.size:
         raise ValueError("partition does not cover this sample")
     parts = sample._split()
-    bounds = part.boundaries
-    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    every_row = part.min_size >= sample._rows_from
+    starts, sizes = part.starts, part.sizes
     means, sds = np.empty(part.k), np.empty(part.k)
-    # a run starts at the first block that starts at or after each multiple of _RUN_VALUES
-    cuts = sorted({bisect_left(starts, w) for w in range(_RUN_VALUES, bounds[-2] + 1, _RUN_VALUES)})
-    for a, b in zip([0, *cuts], [*cuts, part.k]):
-        lo, hi = bounds[a], bounds[b]
-        run = (values[lo:hi], [p[lo:hi] for p in parts])
-        _rows_stats(run, starts[a:b] - lo, sizes[a:b], means[a:b], sds[a:b])
+    if values.size <= _RUN_VALUES:
+        _rows_stats((values, parts, every_row, part.m), starts, sizes, means, sds)
+    else:
+        bounds = part.boundaries
+        # a run starts at the first block that starts at or after each multiple of _RUN_VALUES
+        cuts = sorted({bisect_left(starts, w) for w in range(_RUN_VALUES, bounds[-2] + 1, _RUN_VALUES)})
+        for a, b in zip([0, *cuts], [*cuts, part.k]):
+            lo, hi = bounds[a], bounds[b]
+            run = (values[lo:hi], [p[lo:hi] for p in parts], every_row, None)
+            _rows_stats(run, starts[a:b] - lo, sizes[a:b], means[a:b], sds[a:b])
     means.setflags(write=False)
     sds.setflags(write=False)
     return BlockSummaries(means, sds, sizes)

@@ -92,6 +92,32 @@ def test_partition_boundaries_validated():
     assert BlockPartition(np.array([0.0, 2.0, 5.0])).boundaries.tolist() == [0, 2, 5]
 
 
+def test_partition_boundaries_and_their_facts_are_read_only():
+    # a write after validation once reached block_summaries: index 12 out of bounds in reduceat
+    bounds = np.array([0, 4, 10])
+    part = BlockPartition(bounds)
+    base = np.array([0, 9, 4, 9, 10])
+    view = BlockPartition(base[::2])
+    bounds[1] = base[2] = 12
+    assert part.boundaries.tolist() == [0, 4, 10] and view.boundaries.tolist() == [0, 4, 10]
+    for array in (part.boundaries, part.starts, part.sizes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 12
+    assert part.starts.tolist() == [0, 4] and part.sizes.tolist() == [4, 6]
+    assert (part.min_size, part.m) == (4, 3)
+    assert block_summaries(Sample(np.arange(10.0)), part).means.tolist() == [1.5, 6.5]
+    # a read-only array is taken as it is
+    assert BlockPartition(part.boundaries).boundaries is part.boundaries
+
+
+def test_partition_is_built_once_per_n_and_k():
+    assert partition(2500, 25) is partition(2500, np.int64(25))
+    assert partition(2500, 25) is not partition(2501, 25)
+    # past the cached block count every call builds afresh
+    big = robustmean.estimators._CACHED_BLOCKS + 1
+    assert partition(big, big) is not partition(big, big)
+
+
 # ---------------------------------------------------------- block summaries
 
 
@@ -580,6 +606,91 @@ def test_writing_the_callers_array_leaves_a_later_summary_as_it_was():
     assert Sample(s.values).values is s.values
 
 
+# ---------------------------------------- the row certificate, made once per sample
+
+
+def brute_rows_from(x):
+    """The length from which every block of any partition of ``x`` is a row, found by testing every window."""
+    for length in range(1, x.size + 1):
+        windows = np.lib.stride_tricks.sliding_window_view(x, length)
+        amax = np.abs(windows).max(axis=1)
+        rows = (windows.min(axis=1) != windows.max(axis=1)) & (amax >= 2.0**-390) & (amax < 2.0**448)
+        if rows.all():
+            return length
+    return x.size + 1
+
+
+@given(st.integers(2, 120), st.data())
+@settings(max_examples=300)
+def test_certified_rows_equal_the_fsum_loop(n, data):
+    k = data.draw(st.just(n) | st.integers(1, n), label="k")
+    part = partition(n, k)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.standard_t(4.0, n) * 10.0 ** float(rng.integers(-5, 6))
+    # a run of equal neighbours one shorter than, as long as, or one longer than the smallest block
+    length = min(n, max(1, part.min_size + data.draw(st.sampled_from([-1, 0, 1]), label="run")))
+    at = data.draw(st.integers(0, n - length), label="at")
+    x[at : at + length] = data.draw(st.sampled_from([0.0, -0.0, 2.5, 1e5]), label="repeated")
+    for value in data.draw(st.lists(st.sampled_from([0.0, -0.0, 2.0**-400, -(2.0**-391), 2.0**448, 2.0**500]),
+                                    max_size=3), label="specials"):
+        x[rng.integers(n)] = value
+    unsplit = data.draw(st.booleans(), label="unsplit")
+    if unsplit:
+        # small |t| values beside outliers at 1e5: too wide for the sample's two parts
+        tiny, *outliers = rng.choice(n, max(2, n // 20), replace=False)
+        x[tiny], x[outliers] = 1e-13, 1e5
+    s = Sample(x)
+    got = block_summaries(s, part)
+    want_means, want_sds = oracle_block_stats(x, part)
+    assert bits(got.means) == bits(want_means)
+    assert bits(got.sds) == bits(want_sds)
+    # the certificate is sound, and exact when every nonzero |value| is in the row range
+    in_range = ((x == 0.0) | ((np.abs(x) >= 2.0**-390) & (np.abs(x) < 2.0**448))).all()
+    assert s._rows_from == brute_rows_from(x) if in_range else s._rows_from == n + 1 >= brute_rows_from(x)
+    if unsplit:
+        assert s._split() == []
+
+
+def test_a_certified_partition_skips_the_row_test():
+    # every block is at least 3 long and the longest run is 2, so no block is tested
+    x = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    s = Sample(x)
+    with mock.patch.object(np.minimum, "reduceat", side_effect=AssertionError("row test")):
+        assert block_summaries(s, partition(9, 3)).means.tolist() == [4 / 3, 10 / 3, 6.0]
+    assert s._rows_from == 3
+    # blocks of 2 may be constant: the row test runs and finds block 0 constant
+    got = block_summaries(s, partition(9, 5))
+    assert got[0] == BlockSummary(1.0, 0.0, 2)
+
+
+def test_the_benchmarked_paths_never_run_the_fsum_loop(monkeypatch):
+    # a sum the engine cannot certify drops to the per-block fsum loop, which
+    # is correct but many times slower: none of these ordinary inputs may need it
+    from robustmean.harness import ContaminationSpec, ExperimentSpec, figure_grid_table, run_experiment
+
+    calls = counting_fsum_stats(monkeypatch)
+    figure_grid_table(4)
+    spec = ExperimentSpec(
+        n=16384,
+        distribution=DistributionSpec.half_t(4.0),
+        contamination=ContaminationSpec(80, 1e5),
+        k_grid=(32,),
+        estimators=(EstimatorSpec("adaptive", p=2.0), EstimatorSpec("adaptive", p=1.0)),
+        replications=4,
+        base_seed=11,
+    )
+    run_experiment(spec)
+    rng = np.random.default_rng(12)
+    values = np.abs(rng.standard_t(4.0, 20000))
+    values[rng.choice(values.size, 20, replace=False)] = 1e5
+    s = Sample(values)
+    # the estimate_cli benchmark's argument sets
+    for spec in (EstimatorSpec("weighted", k=50), EstimatorSpec("mom", k=50), EstimatorSpec("trimmed", epsilon=0.005),
+                 EstimatorSpec("adaptive"), EstimatorSpec("weighted", k=4000, p=1.0)):
+        estimate(s, spec)
+    assert calls == []
+
+
 # ------------------------------------------------------------- weight base
 
 
@@ -622,9 +733,10 @@ def test_weights_at_every_p_share_one_base_bit_for_bit(quiet):
 def test_summaries_and_their_weight_base_are_read_only():
     # the weights at every p share one base computed once, so the arrays it is built from must not change
     summaries = block_summaries(Sample(contaminated_half_t(2500)), partition(2500, 25))
-    for array in (summaries.means, summaries.sds):
+    for array in (summaries.means, summaries.sds, summaries.sizes):
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
+            array[0] = 7
+    assert summaries[0].size == 100
     weighted_mean(summaries, 2.0)
     _, base = summaries._weight_base()
     with pytest.raises(ValueError, match="read-only"):
