@@ -11,6 +11,7 @@ workload's reference command lines: the ``--jobs 1`` ones the benchmark's
 reference outputs were recorded from.  The timed command lines may pass
 ``--jobs 2``, and cProfile sees only this process, not the time of the
 replications a forked worker runs.  It prints, for each function of the package,
+named by its module and qualified name (``estimators.Sample.__post_init__``),
 its calls, its self time and its cumulative time as shares of the time
 inside ``cli.main``, most expensive first.  cProfile does not see ufunc
 calls, so ``np.float_power``, the engine's libm squaring, is timed through
@@ -22,8 +23,10 @@ the shares as where to look, and measure a change with ``bench_pairs.py``.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import cProfile
+import functools
 import importlib.util
 import io
 import pstats
@@ -69,8 +72,44 @@ def profile_calls(main, calls: list[list[str]]) -> pstats.Stats:
     return pstats.Stats(profiler)
 
 
+# the names cProfile gives code that is not a def, which has no name of its own in the source
+ANONYMOUS = {ast.Lambda: "<lambda>", ast.GeneratorExp: "<genexpr>", ast.ListComp: "<listcomp>",
+             ast.SetComp: "<setcomp>", ast.DictComp: "<dictcomp>"}
+
+
+@functools.cache
+def qualified_names(path: Path) -> dict[int, str]:
+    """Each function's ``__qualname__`` in the module at ``path``, keyed by the line cProfile reports for it.
+
+    That is the line of its ``def``, or of its first decorator when it has one.
+    A name that recurs in one scope, such as a second ``<dictcomp>``, gets ``#2``.
+    """
+    names = {}
+    seen = Counter()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, *ANONYMOUS)):
+                name = prefix + getattr(child, "name", ANONYMOUS.get(type(child)))
+                seen[name] += 1
+                if seen[name] > 1:
+                    name += f"#{seen[name]}"
+                names[(getattr(child, "decorator_list", None) or [child])[0].lineno] = name
+                visit(child, f"{name}.<locals>.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return names
+
+
 def shares(stats: pstats.Stats) -> tuple[float, list[tuple[str, int, float, float]]]:
-    """The time inside ``cli.main`` and, per function of the package, (name, calls, self share, cumulative share)."""
+    """The time inside ``cli.main`` and, per function of the package, (name, calls, self share, cumulative share).
+
+    A function is named by its module and qualified name, ``estimators.Sample.__post_init__``.
+    """
     rows = []
     total = None
     for (path, line, name), (_, calls, self_s, cumulative_s, _) in stats.stats.items():
@@ -78,15 +117,12 @@ def shares(stats: pstats.Stats) -> tuple[float, list[tuple[str, int, float, floa
         if path == PACKAGE / "cli.py" and name == "main":
             total = cumulative_s
         if name == "float_power" and path == Path(__file__).resolve():
-            rows.append(("np.float_power", 0, calls, self_s, cumulative_s))
+            rows.append(("np.float_power", calls, self_s, cumulative_s))
         elif path.parent == PACKAGE:
-            rows.append((f"{path.stem}.{name}", line, calls, self_s, cumulative_s))
+            rows.append((f"{path.stem}.{qualified_names(path).get(line, name)}", calls, self_s, cumulative_s))
     if not total:
         raise SystemExit("cli.main did not run under the profiler")
-    rows.sort(key=lambda row: -row[4])
-    # a name that several functions share (each dataclass's __post_init__) gets its line
-    counts = Counter(row[0] for row in rows)
-    rows = [(f"{name}:{line}" if counts[name] > 1 else name, *times) for name, line, *times in rows]
+    rows.sort(key=lambda row: -row[3])
     return total, [(name, calls, self_s / total, cumulative_s / total) for name, calls, self_s, cumulative_s in rows]
 
 
@@ -114,9 +150,10 @@ def main() -> int:
             stats = profile_calls(cli.main, [cycle[i % len(cycle)] for i in range(args.calls + 1)])
     total, table = shares(stats)
     print(f"{args.workload}, seed {args.seed}: {args.calls} cli.main calls took {total:.3f} s under cProfile")
-    print(f"{'function':40} {'calls':>9} {'self':>7} {'cumulative':>11}")
+    width = max(len(row[0]) for row in table[: args.top])
+    print(f"{'function':{width}} {'calls':>9} {'self':>7} {'cumulative':>11}")
     for name, calls, self_share, cumulative_share in table[: args.top]:
-        print(f"{name:40} {calls:9d} {self_share:7.1%} {cumulative_share:11.1%}")
+        print(f"{name:{width}} {calls:9d} {self_share:7.1%} {cumulative_share:11.1%}")
     return 0
 
 

@@ -52,15 +52,14 @@ def outlier_magnitude(sample: Sample, part: BlockPartition, true_sigma: float) -
         raise ValueError("partition does not cover this sample")
     x = sample.values
     mask = sample.outlier_mask
-    starts = part.boundaries[:-1]
     sizes = part.sizes
-    counts = np.add.reduceat(mask.astype(np.int64), starts)
+    counts = np.add.reduceat(mask.astype(np.int64), part.starts)
     # the gap needs both sub-means to exist
     mixed = (counts > 0) & (counts < sizes)
     if not mixed.any():
         return None
-    outlier_sums = np.add.reduceat(np.where(mask, x, 0.0), starts)[mixed]
-    inlier_sums = np.add.reduceat(np.where(mask, 0.0, x), starts)[mixed]
+    outlier_sums = np.add.reduceat(np.where(mask, x, 0.0), part.starts)[mixed]
+    inlier_sums = np.add.reduceat(np.where(mask, 0.0, x), part.starts)[mixed]
     counts, sizes = counts[mixed], sizes[mixed]
     gaps = inlier_sums / (sizes - counts) - outlier_sums / counts
     return 1.0 + float(np.min(counts * gaps * gaps / (sizes * true_sigma * true_sigma)))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -63,6 +62,14 @@ def check_fields(spec, fields) -> None:
         raise ValueError("contamination_bound must lie in (0, 1)")
 
 
+def _read_only(array: np.ndarray, given) -> np.ndarray:
+    """``array``, made from the caller's ``given``, read-only: a copy if it is a view or is ``given`` and writeable."""
+    if not array.flags.owndata or (array is given and array.flags.writeable):
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Observation vector plus an optional record of planted corruption.
@@ -85,10 +92,8 @@ class Sample:
             raise ValueError("values must be a non-empty 1-d array")
         if not np.isfinite(values).all():
             raise ValueError("values must be finite: NaN and infinity have no mean")
-        if not values.flags.owndata or (values is self.values and values.flags.writeable):
-            # a later write through the caller's array would leave the kept split stale
-            values = values.copy()
-        values.setflags(write=False)
+        # a later write through the caller's array would leave the kept split stale
+        values = _read_only(values, self.values)
         object.__setattr__(self, "values", values)
         if self.outlier_mask is not None:
             mask = np.asarray(self.outlier_mask, dtype=bool)
@@ -121,7 +126,11 @@ class BlockPartition:
     the canonical balanced partition.  The boundaries are read-only, copied
     from a writeable array or a view as :class:`Sample` copies its values,
     and so are the facts kept from them: each block's start and size, the
-    smallest size, and the exponent ``m`` of :func:`_exact_sums` for them.
+    smallest size, the exponent ``m`` of :func:`_exact_sums` for them, and
+    the runs :func:`block_summaries` walks.  A run is ``(blocks, span,
+    starts)``: the slice of the blocks that start in one window of
+    :data:`_RUN_VALUES` values, the slice of the values they cover, and
+    their starts relative to that span.
     """
 
     boundaries: np.ndarray
@@ -129,25 +138,33 @@ class BlockPartition:
     sizes: np.ndarray = field(init=False, repr=False)
     min_size: int = field(init=False, repr=False)
     m: int = field(init=False, repr=False)
+    runs: tuple[tuple[slice, slice, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         bounds = np.asarray(self.boundaries)
         if bounds.dtype != np.int64:
-            # NaN and infinity cast to some integer, which the comparison below refuses
+            # NaN and infinity cast to some integer, which the comparison below refuses; bool,
+            # complex, object and string arrays are refused before numpy casts them its own way
             with np.errstate(invalid="ignore"):
-                cast = bounds.astype(np.int64)
-            if not np.array_equal(cast, bounds):
+                cast = bounds.astype(np.int64) if bounds.dtype.kind in "iuf" else None
+            if cast is None or not np.array_equal(cast, bounds):
                 raise ValueError(f"boundaries must be integers, got {bounds!r}")
             bounds = cast
-        if not bounds.flags.owndata or (bounds is self.boundaries and bounds.flags.writeable):
-            bounds = bounds.copy()
+        bounds = _read_only(bounds, self.boundaries)
         if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0 or np.any(np.diff(bounds) < 1):
             raise ValueError("boundaries must start at 0 and strictly increase")
         sizes = np.diff(bounds)
-        bounds.setflags(write=False)
         sizes.setflags(write=False)
-        for name, value in (("boundaries", bounds), ("starts", bounds[:-1]), ("sizes", sizes),
-                            ("min_size", int(sizes.min())), ("m", _extraction_exponent(sizes))):
+        starts = bounds[:-1]
+        # a run starts at the first block that starts at or after each multiple of _RUN_VALUES
+        firsts = [0, *(np.flatnonzero(np.diff(starts // _RUN_VALUES)) + 1).tolist(), starts.size]
+        # each block's start within its run; a one-run partition's are its starts
+        local = starts - np.repeat(bounds[firsts[:-1]], np.diff(firsts)) if len(firsts) > 2 else starts
+        local.setflags(write=False)
+        runs = tuple((slice(a, b), slice(int(bounds[a]), int(bounds[b])), local[a:b]) for a, b in zip(firsts, firsts[1:]))
+        # m is the least with 2**m >= L + 2 for every block length L
+        for name, value in (("boundaries", bounds), ("starts", starts), ("sizes", sizes), ("min_size", int(sizes.min())),
+                            ("m", int(sizes.max() + 1).bit_length()), ("runs", runs)):
             object.__setattr__(self, name, value)
 
     @property
@@ -218,7 +235,7 @@ def partition(n: int, k: int) -> BlockPartition:
 
 
 # partition() keeps its 64 latest partitions of at most this many blocks:
-# 16 bytes a block, 16 MiB at most
+# 24 bytes a block (boundaries, sizes and, over several runs, each start within its run), 24 MiB at most
 _CACHED_BLOCKS = 2**14
 
 
@@ -293,13 +310,8 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - bv)) + (b - bv)
 
 
-def _extraction_exponent(sizes: np.ndarray) -> int:
-    """The least ``m`` with ``2**m >= L + 2`` for every block length L in ``sizes``."""
-    return int(sizes.max() + 1).bit_length()
-
-
 def _exact_sums(
-    x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.ndarray, m: int | None = None
+    x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, amax: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's sum rounded once, as ``math.fsum`` gives it, and whether that is certified.
 
@@ -307,13 +319,12 @@ def _exact_sums(
     each row's largest |value|.  The method is AccSum-style extraction
     (Rump, Ogita and Oishi 2008, *Accurate floating-point summation*):
     with ``sigma`` a power of two at least ``2**m`` times every |value|
-    of its row, where ``2**m >= L + 2`` for every row length L (``m``
-    is :func:`_extraction_exponent` of ``sizes`` when not given),
-    ``q = (sigma + x) - sigma`` and ``x - q`` are exact and a row's q
-    sum exactly in any order.  Two passes leave a residual, summed
-    plainly under the error bound ``bound`` (4 L 2**-53 times the sum of
-    its magnitudes, four times what gamma_L needs).  TwoSum then splits the
-    exact sum into ``total`` plus a leftover.  A row is certified when
+    of its row, where ``2**m >= L + 2`` for every row length L (a
+    :class:`BlockPartition` keeps its ``m``), ``q = (sigma + x) - sigma``
+    and ``x - q`` are exact and a row's q sum exactly in any order.  Two
+    passes leave a residual, summed plainly under the error bound ``bound``
+    (4 L 2**-53 times the sum of its magnitudes, four times what gamma_L
+    needs).  TwoSum then splits the exact sum into ``total`` plus a leftover.  A row is certified when
     its residual and the error of adding it are exactly 0, so that
     ``total`` is one rounding of the exact sum, or when the leftover plus
     ``bound`` is under half the gap from ``total`` to its nearer
@@ -323,8 +334,6 @@ def _exact_sums(
     overflows nor underflows (see :data:`_ROW_RANGE`), or be 0 for a row of
     zeros, whose sum is an exact, certified 0.
     """
-    if m is None:
-        m = _extraction_exponent(sizes)
     sigma = np.repeat(np.ldexp(1.0, np.frexp(amax)[1] + m), sizes)
     high = sigma + x
     high -= sigma
@@ -415,25 +424,21 @@ def _longest_run(x: np.ndarray) -> int:
 
 
 def _rows_stats(
-    run: tuple[np.ndarray, list[np.ndarray], bool, int | None],
-    starts: np.ndarray,
-    sizes: np.ndarray,
-    means: np.ndarray,
-    sds: np.ndarray,
+    x: np.ndarray, parts: list[np.ndarray], every_row: bool, starts: np.ndarray, sizes: np.ndarray, m: int,
+    means: np.ndarray, sds: np.ndarray,
 ) -> None:
-    """Write the mean and sd of each block of a run: blocks at ``starts`` of ``sizes`` values, covering it.
+    """Write the mean and sd of each block of a run ``x``: blocks at ``starts`` of ``sizes`` values, covering it.
 
-    ``run`` is the run's values, its slices of the sample's parts (see
-    :func:`_split_values`), whose sums are every block's sum, whether
-    every block is a row, and :func:`_exact_sums`' ``m``.  With no parts,
-    :func:`_exact_sums` extracts the sums block by block.  A row is a
-    block that is not constant and has its largest |value| in
-    :data:`_ROW_RANGE`; unless every block is known to be one, the blocks
-    are tested.  Every other block takes mean 0 and enters the squares as
-    zeros; then a constant one takes its value as mean, and the rest,
-    with every row whose sums are not certified, run :func:`_fsum_stats`.
+    ``parts`` are the run's slices of the sample's parts (see
+    :func:`_split_values`), whose sums are every block's sum; with none,
+    :func:`_exact_sums` extracts the sums block by block.  ``m`` is the
+    partition's exponent for every :func:`_exact_sums` call.  A row is a block that is not constant and has its largest
+    |value| in :data:`_ROW_RANGE`; unless ``every_row`` says that every
+    block is one, the blocks are tested.  Every other block takes mean 0
+    and enters the squares as zeros; then a constant one takes its value
+    as mean, and the rest, with every row whose sums are not certified,
+    run :func:`_fsum_stats`.
     """
-    x, parts, every_row, m = run
     rows, y = True, x
     if not every_row:
         low = np.minimum.reduceat(x, starts)
@@ -494,21 +499,13 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
         raise ValueError("partition does not cover this sample")
     parts = sample._split()
     every_row = part.min_size >= sample._rows_from
-    starts, sizes = part.starts, part.sizes
     means, sds = np.empty(part.k), np.empty(part.k)
-    if values.size <= _RUN_VALUES:
-        _rows_stats((values, parts, every_row, part.m), starts, sizes, means, sds)
-    else:
-        bounds = part.boundaries
-        # a run starts at the first block that starts at or after each multiple of _RUN_VALUES
-        cuts = sorted({bisect_left(starts, w) for w in range(_RUN_VALUES, bounds[-2] + 1, _RUN_VALUES)})
-        for a, b in zip([0, *cuts], [*cuts, part.k]):
-            lo, hi = bounds[a], bounds[b]
-            run = (values[lo:hi], [p[lo:hi] for p in parts], every_row, None)
-            _rows_stats(run, starts[a:b] - lo, sizes[a:b], means[a:b], sds[a:b])
+    for blocks, span, starts in part.runs:
+        _rows_stats(values[span], [p[span] for p in parts], every_row, starts, part.sizes[blocks], part.m,
+                    means[blocks], sds[blocks])
     means.setflags(write=False)
     sds.setflags(write=False)
-    return BlockSummaries(means, sds, sizes)
+    return BlockSummaries(means, sds, part.sizes)
 
 
 # A block whose sd is at most this fraction of the largest block-mean

@@ -89,6 +89,10 @@ def test_partition_boundaries_validated():
     for bounds in ([0, 2.5, 5], [0, math.nan, 5], [0, math.inf, 5]):
         with pytest.raises(ValueError, match="^boundaries must be integers"):
             BlockPartition(np.array(bounds))
+    # numpy would take these as [0, 1], [0, 3] after a ComplexWarning, or raise OverflowError and TypeError
+    for bounds in (np.array([False, True]), np.array([0, 3], dtype=complex), [0, 2**70], [0, 3, None]):
+        with pytest.raises(ValueError, match="^boundaries must be integers"):
+            BlockPartition(np.array(bounds))
     assert BlockPartition(np.array([0.0, 2.0, 5.0])).boundaries.tolist() == [0, 2, 5]
 
 
@@ -260,18 +264,36 @@ def test_squares_equal_libm_pow_bit_for_bit():
 
 
 def summaries_in_runs(x, part, run_values):
-    """:func:`block_summaries` with ``_RUN_VALUES`` set to ``run_values``, and the block count of each run it took."""
+    """:func:`block_summaries` over ``part`` rebuilt under ``_RUN_VALUES = run_values``, and each run's block count."""
     rows_stats = robustmean.estimators._rows_stats
     runs = []
 
-    def spy(run, starts, sizes, means, sds):
+    def spy(x, parts, every_row, starts, sizes, m, means, sds):
         runs.append(sizes.size)
-        rows_stats(run, starts, sizes, means, sds)
+        rows_stats(x, parts, every_row, starts, sizes, m, means, sds)
 
     with mock.patch.object(robustmean.estimators, "_RUN_VALUES", run_values), \
             mock.patch.object(robustmean.estimators, "_rows_stats", spy):
-        got = block_summaries(Sample(x), part)
+        got = block_summaries(Sample(x), BlockPartition(part.boundaries))
     return got, runs
+
+
+@given(st.integers(1, 300), st.integers(1, 64), st.data())
+def test_runs_start_at_the_first_block_at_or_after_each_window(n, run_values, data):
+    cuts = data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
+    bounds = np.array([0, *sorted(cuts), n])
+    with mock.patch.object(robustmean.estimators, "_RUN_VALUES", run_values):
+        part = BlockPartition(bounds)
+    # brute force: the blocks that start a run are block 0 and, for each
+    # multiple w of run_values up to the last start, the first block starting at or after w
+    windows = range(run_values, bounds[-2] + 1, run_values)
+    firsts = sorted({0} | {min(j for j in range(part.k) if bounds[j] >= w) for w in windows})
+    assert [(blocks.start, blocks.stop) for blocks, _, _ in part.runs] == list(zip(firsts, [*firsts[1:], part.k]))
+    for blocks, span, starts in part.runs:
+        assert (span.start, span.stop) == (bounds[blocks.start], bounds[blocks.stop])
+        assert starts.tolist() == (bounds[blocks] - span.start).tolist()
+    if bounds[-2] < run_values:
+        assert len(part.runs) == 1 and np.shares_memory(part.runs[0][2], part.starts)
 
 
 @pytest.mark.parametrize(
@@ -320,7 +342,7 @@ def test_uncertified_row_falls_back_to_fsum():
     # it.  The extraction passes leave 2**-150 as the residual, too small to
     # move the rounded total off 1.0, so the certificate must refuse the row.
     row = np.array([1.0, 2.0**-53, 2.0**-150])
-    total, certified = _exact_sums(row, np.array([0]), np.array([3]), np.array([1.0]))
+    total, certified = _exact_sums(row, np.array([0]), np.array([3]), np.array([1.0]), partition(3, 1).m)
     assert total[0] == 1.0 and not certified[0]
     means = block_summaries(Sample(row), partition(3, 1)).means
     assert math.fsum(row.tolist()) == 1.0 + 2.0**-52
@@ -333,7 +355,7 @@ def test_uncertified_row_below_a_power_of_two_falls_back_to_fsum():
     # tips the exact sum past it, so fsum gives 1 - 2**-53; the total rounds
     # to 1.0, which only the wider gap above 1.0 would certify
     row = np.array([1.0, -(2.0**-54), -(2.0**-150)])
-    total, certified = _exact_sums(row, np.array([0]), np.array([3]), np.array([1.0]))
+    total, certified = _exact_sums(row, np.array([0]), np.array([3]), np.array([1.0]), partition(3, 1).m)
     assert total[0] == 1.0 and not certified[0]
     assert math.fsum(row.tolist()) == 1.0 - 2.0**-53
     # a fourth value, 0, makes the mean the exact sum / 4, which tells the two sums apart
@@ -441,9 +463,9 @@ SPECIAL_BLOCKS = {
 
 def test_the_special_blocks_leave_the_common_path_where_they_should():
     row = SPECIAL_BLOCKS["uncertified"]
-    assert not _exact_sums(row, np.array([0]), np.array([3]), np.array([1.0]))[1].all()
+    assert not _exact_sums(row, np.array([0]), np.array([3]), np.array([1.0]), partition(3, 1).m)[1].all()
     block = SPECIAL_BLOCKS["squares-uncertified"]
-    one = (np.array([0]), np.array([8]), np.array([1.0]))
+    one = (np.array([0]), np.array([8]), np.array([1.0]), partition(8, 1).m)
     total, certified = _exact_sums(block, *one)
     assert total[0] == 0.0 and certified.tolist() == [True]
     total, certified = _exact_sums(np.float_power(np.abs(block), 2.0), *one)
