@@ -124,6 +124,8 @@ def _cmd_estimate(args) -> None:
     if problems:
         raise ConfigError(problems)
     if args.input is None:
+        if sys.stdin is None:  # None when the process started with stdin closed
+            raise RuntimeError("no input: stdin is closed")
         values = _read_numbers(sys.stdin)
     else:
         with open(args.input, "r", encoding="utf-8") as handle:
@@ -131,23 +133,31 @@ def _cmd_estimate(args) -> None:
     print(format(estimate(Sample(values), spec), ".17g"))
 
 
+def _check_table_options(args, problems: list[str]) -> None:
+    """Raise ConfigError for ``--jobs`` below 1 and an ``--out`` with no file to write, then ``problems``, if any."""
+    found = [JOBS_PROBLEM] if args.jobs < 1 else []
+    if args.out is not None:
+        out = Path(args.out)
+        if out.is_dir():
+            found.append(f"out: {out} is a directory")
+        elif not out.parent.is_dir():
+            found.append(f"out: no such directory: {out.parent}")
+    if found + problems:
+        raise ConfigError(found + problems)
+
+
 def _cmd_simulate(args) -> None:
-    problems = [JOBS_PROBLEM] if args.jobs < 1 else []
+    spec, problems = None, []
     try:
         spec = parse_config(Path(args.config).read_text(encoding="utf-8"))
     except ConfigError as exc:
-        problems += exc.errors
-    if problems:
-        raise ConfigError(problems)
+        problems = exc.errors
+    _check_table_options(args, problems)
     _emit(run_experiment(spec, args.jobs), args)
 
 
 def _cmd_figures(args) -> None:
-    problems = [JOBS_PROBLEM] if args.jobs < 1 else []
-    if args.reps < 1:
-        problems.append("reps: must be at least 1")
-    if problems:
-        raise ConfigError(problems)
+    _check_table_options(args, ["reps: must be at least 1"] if args.reps < 1 else [])
     _emit(figure_grid_table(replications=args.reps, base_seed=args.seed, jobs=args.jobs), args)
 
 

@@ -82,9 +82,6 @@ class Sample:
 
     values: np.ndarray
     outlier_mask: np.ndarray | None = None
-    # _split_values(values), filled by the first block_summaries call
-    _parts: list[np.ndarray] | None = field(default=None, init=False, repr=False)
-    _rows_from: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -105,16 +102,10 @@ class Sample:
     def n(self) -> int:
         return self.values.size
 
-    def _split(self) -> list[np.ndarray]:
-        """The parts :func:`_split_values` gives the values, made on the first call and kept.
-
-        The same call keeps the row length it gives in ``_rows_from``.
-        """
-        if self._parts is None:
-            parts, rows_from = _split_values(self.values)
-            object.__setattr__(self, "_rows_from", rows_from)
-            object.__setattr__(self, "_parts", parts)
-        return self._parts
+    @functools.cached_property
+    def _split(self) -> tuple[list[np.ndarray], int]:
+        """``(parts, row length)``, what :func:`_split_values` gives the values, made on the first read and kept."""
+        return _split_values(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,12 +254,12 @@ class BlockSummaries(Sequence):
         self.means, self.sds, self.sizes = means, sds, sizes
         self._base = None
 
-    def _weight_base(self) -> tuple[float | None, np.ndarray]:
-        """``(None, quiet indicator)`` or ``(ref, ref / sds)``, kept: see :func:`_inverse_power_ratios`."""
+    def _weight_base(self) -> tuple[float, np.ndarray]:
+        """``(0.0, quiet indicator)`` or ``(ref, ref / sds)``, kept: see :func:`_inverse_power_ratios`."""
         if self._base is None:
             quiet = self.sds <= QUIET_RELATIVE_SD * np.abs(self.means).max()
             if quiet.any():
-                ref, base = None, quiet.astype(np.float64)
+                ref, base = 0.0, quiet.astype(np.float64)
             else:
                 ref = self.sds.min()
                 base = ref / self.sds
@@ -497,8 +488,8 @@ def block_summaries(sample: Sample, part: BlockPartition) -> BlockSummaries:
     values = sample.values
     if part.n != values.size:
         raise ValueError("partition does not cover this sample")
-    parts = sample._split()
-    every_row = part.min_size >= sample._rows_from
+    parts, rows_from = sample._split
+    every_row = part.min_size >= rows_from
     means, sds = np.empty(part.k), np.empty(part.k)
     for blocks, span, starts in part.runs:
         _rows_stats(values[span], [p[span] for p in parts], every_row, starts, part.sizes[blocks], part.m,
@@ -542,9 +533,7 @@ def _inverse_power_ratios(summaries: Sequence[BlockSummary], p: float) -> tuple[
     if not 1 <= p < math.inf:
         raise ValueError("p must be a finite number >= 1")
     ref, base = _block_arrays(summaries)._weight_base()
-    if ref is None:
-        return 0.0, base
-    return ref, base**p
+    return ref, base**p if ref else base
 
 
 def block_weights(summaries: Sequence[BlockSummary], p: float) -> np.ndarray:

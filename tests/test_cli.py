@@ -310,6 +310,12 @@ def test_terminal_input_ending_near_a_chunk_boundary(monkeypatch, data, chunk_ch
     assert bits(cli._read_numbers(TerminalInput(data))) == bits(oracle_read_numbers(io.StringIO(data)))
 
 
+def test_estimate_with_stdin_closed_says_so(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", None)  # what Python sets when the process starts with stdin closed
+    assert main(["estimate", "--estimator", "mom", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "error: no input: stdin is closed\n"
+
+
 def test_estimate_empty_input_is_runtime_error(tmp_path, capsys):
     src = tmp_path / "empty.txt"
     src.write_text("# nothing\n")
@@ -433,6 +439,20 @@ def test_an_adaptive_estimate_does_not_import_numpy_ma(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120, check=True)
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+# modules `import robustmean` leaves unloaded: each would add to the start-up of every command
+_LOADED_LATER = ("mmap", "numpy.ma", "robustmean.cli", "argparse", "concurrent.futures", "multiprocessing",
+                 "subprocess", "signal")
+
+
+def test_importing_the_package_loads_no_module_that_only_some_commands_need():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    loaded = "import sys, robustmean; print([name for name in sys.argv[1:] if name in sys.modules])"
+    proc = subprocess.run([*PYTHON, "-c", loaded, *_LOADED_LATER], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert proc.stderr == ""
+    assert proc.stdout == "[]\n"
 
 
 def test_usage_errors_leave_the_shared_parser_as_fresh(tmp_path):
@@ -598,6 +618,37 @@ def test_jobs_problem_is_reported_with_the_other_config_problems(tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "config error: jobs: must be at least 1"
     assert any("k_grid" in line for line in err) and any("replications" in line for line in err)
+
+
+def table_commands(tmp_path):
+    """``simulate`` on a good config and ``paper-figures``, each without its table options."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(GOOD_CONFIG))
+    return ["simulate", "--config", str(cfg)], ["paper-figures", "--reps", "2"]
+
+
+def test_an_out_with_no_file_to_write_exits_2_before_anything_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "figure_grid_table", lambda **kwargs: ran.append(kwargs))
+    missing = tmp_path / "missing" / "grid.csv"
+    for argv in table_commands(tmp_path):
+        assert main([*argv, "--out", str(missing)]) == 2
+        assert capsys.readouterr().err == f"config error: out: no such directory: {missing.parent}\n"
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: out: {tmp_path} is a directory\n"
+        assert main([*argv, "--out", str(missing), "--jobs", "0"]) == 2
+        assert capsys.readouterr().err == ("config error: jobs: must be at least 1\n"
+                                           f"config error: out: no such directory: {missing.parent}\n")
+    assert ran == [] and not missing.parent.exists()
+
+
+def test_an_out_without_a_directory_writes_to_the_working_one(tmp_path, monkeypatch):
+    commands = table_commands(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv, name in zip(commands, ("run.csv", "grid.csv")):
+        assert main([*argv, "--out", name]) == 0
+        assert (tmp_path / name).read_text().startswith("estimator,")
 
 
 def test_paper_figures_is_jobs_invariant(tmp_path):

@@ -1,5 +1,6 @@
 """Core estimator kernels: partitioning, summaries, weighting, baselines."""
 
+import dataclasses
 import math
 import statistics
 import warnings
@@ -532,7 +533,10 @@ def test_one_split_serves_every_block_count_in_any_order():
     ks = [1, 2, 3, 7, 50, 333, 499, 500]
     for k in [*ks, *reversed(ks), 7, 7, 500, 1, 1]:
         assert_summaries_equal_the_fsum_loop(s, partition(s.n, k))
-    assert len(s._split()) == 2
+    assert len(s._split[0]) == 2
+    # the parts and the row length are one kept value, not dataclass fields
+    assert s._split is s._split
+    assert [f.name for f in dataclasses.fields(Sample)] == ["values", "outlier_mask"]
 
 
 def test_two_parts_take_every_value_whole():
@@ -540,7 +544,7 @@ def test_two_parts_take_every_value_whole():
     x = sample(DistributionSpec.half_t(4), 2500, seed=8).values.copy()
     x[np.random.default_rng(8).choice(x.size, 150, replace=False)] = 1000.0
     s = Sample(x)
-    first, second = s._split()
+    first, second = s._split[0]
     assert (first + second == x).all() and second.any()
     for k in (1, 25, 200, 2500):
         assert_summaries_equal_the_fsum_loop(s, partition(s.n, k))
@@ -556,7 +560,7 @@ def test_values_too_wide_for_one_sigma_extract_block_by_block(monkeypatch):
     calls = counting_fsum_stats(monkeypatch)
     for k in (1, 8, 50, 4000):
         assert_summaries_equal_the_fsum_loop(s, partition(s.n, k))
-    assert s._split() == [] and calls == []
+    assert s._split[0] == [] and calls == []
 
 
 def test_a_rest_that_tips_a_midpoint_still_goes_to_the_fsum_loop(monkeypatch):
@@ -568,7 +572,7 @@ def test_a_rest_that_tips_a_midpoint_still_goes_to_the_fsum_loop(monkeypatch):
     s = Sample(x)
     calls = counting_fsum_stats(monkeypatch)
     assert_summaries_equal_the_fsum_loop(s, BlockPartition(np.array([0, 9, 12, 21])))
-    assert s._split() == [] and calls == [3]
+    assert s._split[0] == [] and calls == [3]
     assert block_summaries(s, BlockPartition(np.array([0, 9, 12, 21]))).means[1] == (2.0**440 + 2.0**388) / 3
 
 
@@ -583,7 +587,7 @@ def test_values_past_the_row_range_raise_the_fsum_loops_overflow_error_after_a_s
     with pytest.raises(OverflowError) as got:
         block_summaries(s, partition(s.n, k))
     assert got.value.args == want.value.args
-    first, second = s._split()
+    first, second = s._split[0]
     assert (first[-2:] == 0.0).all() and (second[-2:] == 0.0).all()
 
 
@@ -593,12 +597,12 @@ def test_zero_constant_and_tiny_blocks_beside_a_split(monkeypatch):
     calls = counting_fsum_stats(monkeypatch)
     for k in (4, 2, 1, 40):
         assert_summaries_equal_the_fsum_loop(s, partition(s.n, k))
-    assert len(s._split()) == 2 and calls == []
+    assert len(s._split[0]) == 2 and calls == []
     # every value under 2**-390: split too, but no block is a row
     tiny = Sample(np.linspace(-1.0, 1.0, 40) * 2.0**-400)
     for k in (4, 1):
         assert_summaries_equal_the_fsum_loop(tiny, partition(tiny.n, k))
-    assert len(tiny._split()) == 2
+    assert len(tiny._split[0]) == 2
 
 
 def test_a_split_sample_over_several_runs():
@@ -610,7 +614,7 @@ def test_a_split_sample_over_several_runs():
         assert_summaries_equal_the_fsum_loop(s, partition(s.n, k))
         _, taken = summaries_in_runs(x, partition(x.size, k), robustmean.estimators._RUN_VALUES)
         assert len(taken) == runs
-    assert len(s._split()) == 2
+    assert len(s._split[0]) == 2
 
 
 def test_writing_the_callers_array_leaves_a_later_summary_as_it_was():
@@ -668,9 +672,9 @@ def test_certified_rows_equal_the_fsum_loop(n, data):
     assert bits(got.sds) == bits(want_sds)
     # the certificate is sound, and exact when every nonzero |value| is in the row range
     in_range = ((x == 0.0) | ((np.abs(x) >= 2.0**-390) & (np.abs(x) < 2.0**448))).all()
-    assert s._rows_from == brute_rows_from(x) if in_range else s._rows_from == n + 1 >= brute_rows_from(x)
+    assert s._split[1] == brute_rows_from(x) if in_range else s._split[1] == n + 1 >= brute_rows_from(x)
     if unsplit:
-        assert s._split() == []
+        assert s._split[0] == []
 
 
 def test_a_certified_partition_skips_the_row_test():
@@ -679,7 +683,7 @@ def test_a_certified_partition_skips_the_row_test():
     s = Sample(x)
     with mock.patch.object(np.minimum, "reduceat", side_effect=AssertionError("row test")):
         assert block_summaries(s, partition(9, 3)).means.tolist() == [4 / 3, 10 / 3, 6.0]
-    assert s._rows_from == 3
+    assert s._split[1] == 3
     # blocks of 2 may be constant: the row test runs and finds block 0 constant
     got = block_summaries(s, partition(9, 5))
     assert got[0] == BlockSummary(1.0, 0.0, 2)
@@ -687,11 +691,18 @@ def test_a_certified_partition_skips_the_row_test():
 
 def test_the_benchmarked_paths_never_run_the_fsum_loop(monkeypatch):
     # a sum the engine cannot certify drops to the per-block fsum loop, which
-    # is correct but many times slower: none of these ordinary inputs may need it
+    # is correct but many times slower: none of these ordinary inputs may need it.
+    # Nor may they test a block for being a row (the row certificate covers
+    # every block) or split a sample more than once.
     from robustmean.harness import ContaminationSpec, ExperimentSpec, figure_grid_table, run_experiment
 
     calls = counting_fsum_stats(monkeypatch)
+    split_values = robustmean.estimators._split_values
+    splits = []
+    monkeypatch.setattr(robustmean.estimators, "_split_values", lambda x: splits.append(x.size) or split_values(x))
+    monkeypatch.setattr(np.minimum, "reduceat", mock.Mock(side_effect=AssertionError("row test")))
     figure_grid_table(4)
+    assert splits == [2500] * 16
     spec = ExperimentSpec(
         n=16384,
         distribution=DistributionSpec.half_t(4.0),
@@ -702,6 +713,7 @@ def test_the_benchmarked_paths_never_run_the_fsum_loop(monkeypatch):
         base_seed=11,
     )
     run_experiment(spec)
+    assert splits == [2500] * 16 + [16384] * 4
     rng = np.random.default_rng(12)
     values = np.abs(rng.standard_t(4.0, 20000))
     values[rng.choice(values.size, 20, replace=False)] = 1e5
@@ -711,6 +723,7 @@ def test_the_benchmarked_paths_never_run_the_fsum_loop(monkeypatch):
                  EstimatorSpec("adaptive"), EstimatorSpec("weighted", k=4000, p=1.0)):
         estimate(s, spec)
     assert calls == []
+    assert splits == [2500] * 16 + [16384] * 4 + [20000]
 
 
 # ------------------------------------------------------------- weight base
