@@ -18,7 +18,6 @@ import numpy as np
 
 from .estimators import (
     ESTIMATOR_FIELDS,
-    BlockSummaries,
     BlockSummary,
     Sample,
     _inverse_power_ratios,
@@ -123,20 +122,17 @@ def event_check_plain(summaries: Sequence[BlockSummary], p: float, sigma: float,
     return _calm(summaries, p, sigma, PLAIN_THRESHOLD_CONSTANT, config.contamination_bound)
 
 
-def adaptive_k(
-    sample: Sample, config: AdaptiveConfig, sigma_tilde: float, levels: dict[int, BlockSummaries] | None = None
-) -> int:
+def adaptive_k(sample: Sample, config: AdaptiveConfig, sigma_tilde: float) -> int:
     """First power-of-two block count that passes :func:`event_check`.
 
     Scans k = 2, 4, ... up to the largest power of two not exceeding the
-    sample size.  ``levels`` maps a block count to this sample's summaries
-    at that count: a scanned level missing from it is built and stored
-    there, one already in it is read.  Falls back to 2 when no count passes.
+    sample size.  A scanned level is read from the sample's kept levels,
+    or built and kept there.  Falls back to 2 when no count passes.
     """
     n = sample.n
     if n < 2:
         raise ValueError("need at least two observations")
-    levels = {} if levels is None else levels
+    levels = sample._levels
     for i in range(1, n.bit_length()):
         k = 1 << i
         if k not in levels:
@@ -146,19 +142,13 @@ def adaptive_k(
     return 2
 
 
-def adaptive_estimate(
-    sample: Sample, config: AdaptiveConfig, levels: dict[int, BlockSummaries] | None = None, scale: ScaleEstimate | None = None
-) -> float:
+def adaptive_estimate(sample: Sample, config: AdaptiveConfig) -> float:
     """Weighted block mean at the scanned block count.
 
-    Fully data-driven: the scale is ``scale``, this sample's
-    :func:`robust_sigma` (computed here when None), so the caller supplies
-    nothing beyond the sample and the knobs.  Cells that share a sample
-    pass one scale, as they pass one ``levels``.  The chosen level is read
-    from the summaries the scan left in ``levels`` (see
-    :func:`adaptive_k`; a fresh map when None), never built twice.
+    Fully data-driven: the scale is the sample's :func:`robust_sigma`,
+    kept on it as the levels :func:`adaptive_k` scans are, so the caller
+    supplies nothing beyond the sample and the knobs, and a later call on
+    the same sample computes neither again.
     """
-    levels = {} if levels is None else levels
-    scale = robust_sigma(sample) if scale is None else scale
-    k = adaptive_k(sample, config, scale.sigma_tilde, levels)
-    return weighted_mean(levels[k], config.p)
+    k = adaptive_k(sample, config, sample._scale.sigma_tilde)
+    return weighted_mean(sample._levels[k], config.p)

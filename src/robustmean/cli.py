@@ -136,7 +136,9 @@ def _cmd_estimate(args) -> None:
 def _check_table_options(args, problems: list[str]) -> None:
     """Raise ConfigError for ``--jobs`` below 1 and an ``--out`` with no file to write, then ``problems``, if any."""
     found = [JOBS_PROBLEM] if args.jobs < 1 else []
-    if args.out is not None:
+    if args.out == "":  # Path("") is the working directory
+        found.append("out: must name a file, got ''")
+    elif args.out is not None:
         out = Path(args.out)
         if out.is_dir():
             found.append(f"out: {out} is a directory")

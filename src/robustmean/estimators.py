@@ -107,6 +107,19 @@ class Sample:
         """``(parts, row length)``, what :func:`_split_values` gives the values, made on the first read and kept."""
         return _split_values(self.values)
 
+    @functools.cached_property
+    def _levels(self) -> dict[int, BlockSummaries]:
+        """This sample's summaries over ``partition(n, k)`` by k, and no other partition's: the scan and the harness keep them."""
+        return {}
+
+    @functools.cached_property
+    def _scale(self) -> ScaleEstimate:
+        """This sample's :func:`~robustmean.adaptive.robust_sigma`, computed on the first read and kept."""
+        # imported here because that module builds on this one
+        from .adaptive import robust_sigma
+
+        return robust_sigma(self)
+
 
 @dataclass(frozen=True, eq=False)
 class BlockPartition:
@@ -595,27 +608,15 @@ def trimmed_mean(sample: Sample, epsilon: float) -> float:
     return float(np.sort(x)[cut : x.size - cut].mean())
 
 
-def estimate(
-    sample: Sample, spec: EstimatorSpec, levels: dict[int, BlockSummaries] | None = None, scale: ScaleEstimate | None = None
-) -> float:
+def estimate(sample: Sample, spec: EstimatorSpec) -> float:
     """Run the estimator described by ``spec`` on ``sample``.
-
-    ``levels``, a map from block count to this sample's summaries, is
-    handed to the adaptive scan, which reads it and adds the levels it
-    builds (see :func:`~robustmean.adaptive.adaptive_k`).  ``scale``, this
-    sample's :class:`~robustmean.adaptive.ScaleEstimate`, is handed to the
-    adaptive kind too, so cells that share a sample share one scale; None
-    computes it with :func:`~robustmean.adaptive.robust_sigma`.  The other
-    kinds read neither.
 
     An overflow on the way follows :func:`finite_or_too_large`.
     """
-    return finite_or_too_large(_estimate, sample, spec, levels, scale)
+    return finite_or_too_large(_estimate, sample, spec)
 
 
-def _estimate(
-    sample: Sample, spec: EstimatorSpec, levels: dict[int, BlockSummaries] | None, scale: ScaleEstimate | None
-) -> float:
+def _estimate(sample: Sample, spec: EstimatorSpec) -> float:
     """:func:`estimate` without its overflow rule."""
     if spec.kind == "weighted":
         return weighted_mean(block_summaries(sample, partition(sample.n, spec.k)), spec.p)
@@ -626,8 +627,7 @@ def _estimate(
     # adaptive: imported here because that module builds on this one
     from .adaptive import AdaptiveConfig, adaptive_estimate
 
-    config = AdaptiveConfig(p=spec.p, contamination_bound=spec.contamination_bound)
-    return adaptive_estimate(sample, config, levels, scale)
+    return adaptive_estimate(sample, AdaptiveConfig(p=spec.p, contamination_bound=spec.contamination_bound))
 
 
 def finite_or_too_large(compute, *args):

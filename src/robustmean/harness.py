@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import ROBUST_SIGMA_MIN_N, ScaleEstimate, robust_sigma
+from .adaptive import ROBUST_SIGMA_MIN_N
 from .datagen import DISTRIBUTION_FIELDS, ContaminationSpec, DistributionSpec, contaminate, sample
 from .estimators import (
     ESTIMATOR_FIELDS,
     BlockPartition,
-    BlockSummaries,
     EstimatorSpec,
     Sample,
     _trim_cut,
@@ -201,9 +200,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentTable:
     ignored here.  Estimators that do not use a block count produce the
     same value in every k cell of their row group.  A replication builds
     the block summaries for a k only when a blockwise estimator or the
-    adaptive scan reads them, and at most once: its cells share them.
-    Its ``adaptive`` cells likewise share one :func:`robust_sigma`, computed
-    when the first of them runs.
+    adaptive scan reads them, and at most once: its cells share them, kept
+    on the sample.  Its ``adaptive`` cells likewise share one
+    :func:`robust_sigma`, kept on the sample when the first of them runs.
 
     The replications run in at most ``jobs`` processes, capped at the
     replications and at the CPUs this process may run on (see
@@ -321,19 +320,16 @@ def _replication_errors(
 ) -> np.ndarray:
     """Write one replication's errors into ``errors``, a row per estimator and a column per k, and return it."""
     true_mean = spec.distribution.true_mean
-    # this replication's summaries by block count and its scale, shared by every cell
-    summaries: dict[int, BlockSummaries] = {}
-    scale: ScaleEstimate | None = None
+    # the sample keeps its summaries by block count and its scale, so every cell shares them
+    levels = corrupted._levels
     for est, row in zip(spec.estimators, errors):
         if "k" not in ESTIMATOR_FIELDS[est.kind]:
-            if est.kind == "adaptive" and scale is None:
-                scale = robust_sigma(corrupted)
-            row[:] = estimate(corrupted, est, summaries, scale) - true_mean
+            row[:] = estimate(corrupted, est) - true_mean
             continue
         for j, k in enumerate(spec.k_grid):
-            if k not in summaries:
-                summaries[k] = block_summaries(corrupted, parts[k])
-            value = weighted_mean(summaries[k], est.p) if est.kind == "weighted" else median_of_means(summaries[k])
+            if k not in levels:
+                levels[k] = block_summaries(corrupted, parts[k])
+            value = weighted_mean(levels[k], est.p) if est.kind == "weighted" else median_of_means(levels[k])
             row[j] = value - true_mean
     return errors
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -299,6 +300,7 @@ def test_adaptive_estimate_builds_exactly_the_scanned_levels(monkeypatch):
     k = adaptive_k(s, CFG, robust_sigma(s).sigma_tilde)
     alone = weighted_mean(block_summaries(s, partition(s.n, k)), CFG.p)
     scanned = [1 << i for i in range(1, k.bit_length())]
+    assert sorted(s._levels) == scanned
     built = []
 
     def counted(sample, part):
@@ -306,12 +308,38 @@ def test_adaptive_estimate_builds_exactly_the_scanned_levels(monkeypatch):
         return block_summaries(sample, part)
 
     monkeypatch.setattr(robustmean.adaptive, "block_summaries", counted)
-    assert adaptive_estimate(s, CFG) == alone and built == scanned
-    levels = {}
+    fresh = Sample(s.values)  # s keeps the levels adaptive_k scanned
+    assert adaptive_estimate(fresh, CFG) == alone and built == scanned and sorted(fresh._levels) == scanned
     built.clear()
-    assert adaptive_estimate(s, CFG, levels) == alone and built == scanned and sorted(levels) == scanned
-    built.clear()
-    assert adaptive_estimate(s, CFG, levels) == alone and built == []
+    assert adaptive_estimate(fresh, CFG) == alone and built == []
+
+
+@pytest.mark.parametrize("ps", [(2.0, 1.0), (1.0, 2.0)], ids=["p2-first", "p1-first"])
+def test_estimate_calls_on_one_sample_share_its_scale_and_levels(monkeypatch, ps):
+    """Two adaptive estimates of one sample: one robust_sigma, each scanned level built once,
+    and each result bit for bit that of the same estimate on a fresh sample."""
+    # the p=2 scan stops at k = 4 and the p=1 scan at k = 8
+    s = contaminate(sample(DistributionSpec.normal(), 1024, 3), ContaminationSpec(40, 1e3), 4)
+    specs = [EstimatorSpec("adaptive", p=p) for p in ps]
+    alone = [estimate(Sample(s.values), spec).hex() for spec in specs]
+    scales, built = [], []
+
+    def counted_sigma(sample):
+        scales.append(sample)
+        return robust_sigma(sample)
+
+    def counted(sample, part):
+        built.append(part.k)
+        return block_summaries(sample, part)
+
+    # wherever the package holds the function, as a caller would reach it
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "robustmean"]:
+        if getattr(module, "robust_sigma", None) is robust_sigma:
+            monkeypatch.setattr(module, "robust_sigma", counted_sigma)
+    monkeypatch.setattr(robustmean.adaptive, "block_summaries", counted)
+    assert [estimate(s, spec).hex() for spec in specs] == alone
+    assert scales == [s]
+    assert sorted(built) == sorted(s._levels) == [2, 4, 8]
 
 
 def test_adaptive_estimate_needs_robust_sigma_size():

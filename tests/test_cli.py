@@ -637,6 +637,8 @@ def test_an_out_with_no_file_to_write_exits_2_before_anything_runs(tmp_path, cap
         assert capsys.readouterr().err == f"config error: out: no such directory: {missing.parent}\n"
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: out: {tmp_path} is a directory\n"
+        assert main([*argv, "--out", ""]) == 2
+        assert capsys.readouterr().err == "config error: out: must name a file, got ''\n"
         assert main([*argv, "--out", str(missing), "--jobs", "0"]) == 2
         assert capsys.readouterr().err == ("config error: jobs: must be at least 1\n"
                                            f"config error: out: no such directory: {missing.parent}\n")
